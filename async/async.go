@@ -19,6 +19,9 @@
 package async
 
 import (
+	"math"
+	"sync"
+
 	"repro/agent"
 	"repro/graph"
 )
@@ -31,13 +34,30 @@ type Action struct {
 	Port int
 }
 
-// ExtractActions runs the program as a single agent on g from start,
-// recording up to maxActions actions (a Wait(k) contributes k pauses,
-// coalesced here into single pause entries k times — capped by
-// maxActions). This is sound because the paper's agents are oblivious to
-// each other until they meet: the stream never depends on the adversary.
+// ExtractActions runs the program as a single agent on g from start and
+// returns the first maxActions actions it performs (a Wait(k) contributes
+// k pause entries). This is sound because the paper's agents are
+// oblivious to each other until they meet: the stream never depends on
+// the adversary. The result grows with the stream rather than being
+// presized to maxActions, so a generous cap costs nothing up front.
 func ExtractActions(g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
-	x := &extractor{g: g, pos: start, deg: g.Degree(start), entry: -1, max: maxActions}
+	return AppendActions(nil, g, prog, start, maxActions)
+}
+
+// AppendActions is ExtractActions appending to dst: it appends the first
+// maxActions actions of the program's stream to dst and returns the
+// extended slice. Callers extracting many streams pass a buffer back in
+// (dst[:0]) to reuse its backing array.
+func AppendActions(dst []Action, g *graph.Graph, prog agent.Program, start int, maxActions int) []Action {
+	if maxActions <= 0 {
+		return dst
+	}
+	x := extractors.Get().(*extractor)
+	*x = extractor{
+		g: g, pos: start, deg: g.Degree(start), entry: -1,
+		actions: dst, limit: len(dst) + min(maxActions, math.MaxInt-len(dst)),
+		entries: x.entries[:0], degrees: x.degrees[:0],
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -49,8 +69,15 @@ func ExtractActions(g *graph.Graph, prog agent.Program, start int, maxActions in
 		}()
 		prog(x)
 	}()
-	return x.actions
+	dst = x.actions
+	x.g, x.actions = nil, nil
+	extractors.Put(x)
+	return dst
 }
+
+// extractors pools extractor states — with their script percept buffers —
+// so that extracting into a warm dst allocates nothing.
+var extractors = sync.Pool{New: func() any { return new(extractor) }}
 
 // extractDone unwinds the program once enough actions are recorded.
 type extractDone struct{}
@@ -64,7 +91,11 @@ type extractor struct {
 	entry   int
 	clock   uint64
 	actions []Action
-	max     int
+	limit   int // len(actions) at which the stream is complete
+
+	// entries and degrees back the percept slices MoveSeq and
+	// MoveSeqDegrees return, reused per the World ownership contract.
+	entries, degrees []int
 }
 
 func (x *extractor) Degree() int    { return x.deg }
@@ -82,32 +113,58 @@ func (x *extractor) Move(port int) int {
 	return ep
 }
 
+// Wait records one pause per round. Pauses are not coalesced — the
+// adversaries count steps — and the cap in record bounds even
+// astronomically long waits.
 func (x *extractor) Wait(rounds uint64) {
 	for i := uint64(0); i < rounds; i++ {
 		x.clock++
 		x.record(Action{})
-		// Coalescing pauses would skew the step counting the adversaries
-		// rely on; but guard against astronomically long waits by
-		// treating the overflow as completion.
-		if len(x.actions) >= x.max {
-			panic(extractDone{})
-		}
 	}
 }
 
-// MoveSeq degrades to per-action execution: each scripted move or wait is
-// one recorded action, exactly as if the program had issued it unbatched.
-func (x *extractor) MoveSeq(actions []int) []int { return agent.RunScript(x, actions) }
-
-// MoveSeqDegrees likewise goes through the reference executor; the degree
-// stream changes what the program learns, not which actions it performs.
-func (x *extractor) MoveSeqDegrees(actions []int) ([]int, []int) {
-	return agent.RunScriptDegrees(x, actions)
+// MoveSeq runs the script action by action, exactly as agent.RunScript
+// does: each scripted move or wait is one recorded action.
+func (x *extractor) MoveSeq(actions []int) []int {
+	entries, _ := x.runScript(actions, false)
+	return entries
 }
 
+// MoveSeqDegrees is MoveSeq also reporting degrees, as
+// agent.RunScriptDegrees does; the degree stream changes what the program
+// learns, not which actions it performs.
+func (x *extractor) MoveSeqDegrees(actions []int) ([]int, []int) {
+	return x.runScript(actions, true)
+}
+
+func (x *extractor) runScript(actions []int, withDegrees bool) (entries, degrees []int) {
+	if len(actions) == 0 {
+		return nil, nil
+	}
+	x.entries, x.degrees = x.entries[:0], x.degrees[:0]
+	for _, a := range actions {
+		if p, wait := agent.ActionPort(a, x.entry, x.deg); wait {
+			x.Wait(1)
+		} else {
+			x.Move(p)
+		}
+		x.entries = append(x.entries, x.entry)
+		if withDegrees {
+			x.degrees = append(x.degrees, x.deg)
+		}
+	}
+	if withDegrees {
+		return x.entries, x.degrees
+	}
+	return x.entries, nil
+}
+
+// record appends a and unwinds the program the moment the stream is
+// complete. AppendActions never starts the program for a cap of 0, so
+// every stream holds exactly min(maxActions, program length) actions.
 func (x *extractor) record(a Action) {
 	x.actions = append(x.actions, a)
-	if len(x.actions) >= x.max {
+	if len(x.actions) >= x.limit {
 		panic(extractDone{})
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/dist"
 	"repro/graph"
+	"repro/internal/obs"
 	"repro/internal/simtest"
 	"repro/sim"
 )
@@ -66,6 +67,83 @@ func TestExecShardBatchMatchesPerCase(t *testing.T) {
 			}
 			simtest.RequireEqualResult(t, fmt.Sprintf("round %d, %d-case shard", round, len(sh.Cases)), want, got)
 		}
+	}
+}
+
+// TestExecShardBatchRoutesByBreakEven pins fixed shards on both sides of
+// the lanes-per-recording break-even: each must equal per-case execution
+// on full ShardResult equality, and the process run counters must show
+// which engine ran it — one RunPairsBatch call above the break-even, none
+// below. The shard above it keeps the dist batch path on the resolver
+// whatever the randomized shards of TestExecShardBatchMatchesPerCase
+// happen to draw.
+func TestExecShardBatchRoutesByBreakEven(t *testing.T) {
+	universal := dist.ProgDesc{Name: "universal"}
+	k2 := graph.Encode(graph.TwoNode())
+	ring := graph.Encode(graph.Cycle(6))
+	// E7's shape: UniversalRV on one pair, a few delays — 3 lanes on 2
+	// recordings.
+	e7 := &dist.ShardDesc{GraphText: k2, Batch: true}
+	for _, d := range []uint64{1, 2, 3} {
+		e7.Cases = append(e7.Cases, dist.CaseDesc{Kind: dist.KindTwoAgent, ProgA: universal, ProgB: universal, U: 0, V: 1, Delay: d, Budget: 4000})
+	}
+	// E12's shape: every seed is a distinct descriptor, so 8 lanes make
+	// 16 recordings.
+	lazy := &dist.ShardDesc{GraphText: ring, Batch: true, SeedLo: 100, SeedHi: 116}
+	for i := uint64(0); i < 8; i++ {
+		lazy.Cases = append(lazy.Cases, dist.CaseDesc{
+			Kind:  dist.KindTwoAgent,
+			ProgA: dist.ProgDesc{Name: "lazyrandom", Args: []uint64{100 + 2*i}},
+			ProgB: dist.ProgDesc{Name: "lazyrandom", Args: []uint64{101 + 2*i}},
+			U:     0, V: 3, Delay: 2, Budget: 1 << 16,
+		})
+	}
+	// A parameter grid on one pair: 16 lanes on 2 recordings, met and
+	// budget-exhausted lanes mixed, one lane whose later agent never
+	// appears.
+	grid := &dist.ShardDesc{GraphText: ring, Batch: true}
+	for d := uint64(0); d < 16; d++ {
+		grid.Cases = append(grid.Cases, dist.CaseDesc{Kind: dist.KindTwoAgent, ProgA: universal, ProgB: universal, U: 0, V: 2, Delay: d, Budget: 200 + 400*d})
+	}
+	grid.Cases[15].Budget = 10
+
+	batchRuns := obs.Default().Counter(`sim_runs_total{engine="batch"}`, "")
+	perCase := sim.NewSession()
+	defer perCase.Close()
+	batched := sim.NewSession()
+	defer batched.Close()
+	arena := sim.NewBatch()
+	outcomes := map[sim.Outcome]bool{}
+	for _, tc := range []struct {
+		name  string
+		sh    *dist.ShardDesc
+		batch uint64 // RunPairsBatch calls expected
+	}{
+		{"e7 3 lanes/2 recordings", e7, 0},
+		{"lazyrandom seed batch", lazy, 0},
+		{"16-lane grid on one pair", grid, 1},
+	} {
+		want, err := dist.ExecShard(perCase, &dist.ShardDesc{GraphText: tc.sh.GraphText, SeedLo: tc.sh.SeedLo, SeedHi: tc.sh.SeedHi, Cases: tc.sh.Cases})
+		if err != nil {
+			t.Fatalf("%s: per-case: %v", tc.name, err)
+		}
+		before := batchRuns.Value()
+		got, err := dist.ExecShardBatch(batched, arena, tc.sh)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", tc.name, err)
+		}
+		if ran := batchRuns.Value() - before; ran != tc.batch {
+			t.Fatalf("%s: %d RunPairsBatch calls, want %d", tc.name, ran, tc.batch)
+		}
+		simtest.RequireEqualResult(t, tc.name, want, got)
+		if tc.sh == grid {
+			for _, c := range want.Cases {
+				outcomes[c.Two.Outcome] = true
+			}
+		}
+	}
+	if !outcomes[sim.Met] || !outcomes[sim.BudgetExhausted] {
+		t.Fatalf("grid lanes should both meet and exhaust their budgets: %v", outcomes)
 	}
 }
 

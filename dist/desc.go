@@ -39,12 +39,14 @@ type ShardDesc struct {
 	Hints Hints
 
 	// Batch declares the shard batch-eligible: its cases are independent
-	// seed-only variations of one (graph, program-pair, parameter-block)
-	// grid, so the worker may execute runs of same-kind cases through the
-	// lockstep batch engines (sim.RunPairsBatch / sim.RunBatch) instead
-	// of the per-case loop. Results are identical either way — the batch
-	// engines are pinned to full per-case equality, wakeup counts
-	// included — so the flag only selects the execution strategy.
+	// parameter variations of one (graph, program-pair) grid, so the
+	// worker may execute runs of same-kind cases through the batch
+	// engines (sim.RunPairsBatch / sim.RunBatch) instead of the per-case
+	// loop. Whether a two-agent run actually batches is the worker's
+	// call, made from its lanes per distinct recording (see "Batched
+	// shard execution" in the package doc). Results are identical either
+	// way — the batch engines are pinned to full per-case equality,
+	// wakeup counts included — so the flag never changes a result.
 	Batch bool
 
 	// Cases run sequentially, in order, on one pooled session.

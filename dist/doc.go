@@ -147,22 +147,51 @@
 //
 // # Batched shard execution
 //
-// A shard whose cases are seed-only variations of one (graph,
-// program-pair, parameter-block) grid can be flagged Batch
-// (Planner.SetBatch): the worker then executes runs of same-kind cases
-// through sim's record-and-resolve batch engines (sim.RunPairsBatch /
-// sim.RunBatch — see sim's package comment for the lane model) instead
-// of the per-case loop, and within a two-agent run it builds each
-// distinct (name, args) program descriptor once so descriptor-equal
-// cases share one program value and one recording. The flag selects an
-// execution strategy only: batched results are pinned to full per-case
-// equality, wakeup counts included, so the aggregation invariant below
-// is untouched. Alongside the pooled session and batch arena, each
-// connection keeps a small graph cache — decoded graphs plus their
-// lazily-derived view signatures, on both the worker and coordinator
-// sides — since a sweep's shards repeat a handful of graphs and the
-// decode plus signature derivation are the protocol's largest
-// per-shard costs.
+// A shard whose cases vary one (graph, program-pair) grid in parameters
+// — delay, budget, start pair, seed — can be flagged Batch
+// (Planner.SetBatch). The flag declares eligibility only; the worker
+// decides per maximal run of same-kind cases how to execute it. A
+// k-agent run goes through sim.RunBatch. A two-agent run builds each
+// distinct (name, args) program descriptor once, so descriptor-equal
+// cases share one program value, and counts its distinct (descriptor,
+// start) pairs: the solo recordings sim's record-and-resolve engine
+// (sim.RunPairsBatch — see sim's package comment for the lane model)
+// would make. Seeds are program arguments, so seed-only variation shares
+// nothing: each seed is its own descriptor, and a 32-case E12 shard
+// makes 64 recordings. The run goes through sim.RunPairsBatch only when
+// it has at least batchBreakEven (3) lanes per recording; below that it
+// runs case by case on the session, exactly as an unflagged shard does.
+// Either way the results are pinned to full per-case equality, wakeup
+// counts included, so the aggregation invariant below is untouched.
+//
+// The break-even comes from timing both engines on every two-agent run
+// of one table regeneration and of the perfbench sweep plan (2-vCPU
+// x86-64 host, median of repeated warm runs, min of 5 each):
+//
+//	shard                          lanes recs ratio  batch ms  loop ms
+//	E7  path-3/path-4/K2, 1 STIC       1    2  0.5      ≤0.07    ≤0.04
+//	E12 lazyrandom, 5 graphs          32   64  0.5   0.62-1.51 0.38-0.84
+//	sweep lazyrandom, 5 graphs        16   32  0.5   0.19-0.37 0.13-0.21
+//	E7  path-3                         3    3  1.0       0.07     0.05
+//	E7  symtree-(())                   3    2  1.5      13.1      7.0
+//	E7  K2                             4    2  2.0       0.27     0.19
+//	sweep universal K2                 6    2  3.0       0.26     0.31
+//	sweep universal ring-3            18    3  6.0       5.0      6.7
+//	sweep universal ring-4            24    4  6.0       0.84     0.70
+//	sweep universal hypercube-2       24    4  6.0       0.97     1.28
+//	sweep universal complete-4        24    4  6.0       0.09     0.29
+//	sweep universal ring-5            40    5  8.0       0.09     0.40
+//
+// Every run at 2 or fewer lanes per recording is faster live: a live
+// run stops at its meeting and skips waits, while a recording runs out
+// to the longest lane budget that needs it. From 3 on, the batch engine
+// wins in total (7.2 against 9.7 ms), as sim's BenchmarkBatchShard
+// (8-128 lanes per recording) shows at scale. Alongside the pooled
+// session and batch arena, each connection keeps a small graph cache —
+// decoded graphs plus their lazily-derived view signatures, on both the
+// worker and coordinator sides — since a sweep's shards repeat a handful
+// of graphs and the decode plus signature derivation are the protocol's
+// largest per-shard costs.
 //
 // # Byte-identical aggregation
 //

@@ -248,37 +248,52 @@ func execShard(sess *sim.Session, sh *ShardDesc, gc *graphCache, progress progre
 // recordings by program VALUE, so descriptor-equal cases must hand it
 // the same func value to share a recording — which the registry's
 // determinism contract (same descriptor, same behavior, no state across
-// invocations) makes sound. Shard groups are small; a linear scan beats
-// a map here.
+// invocations) makes sound. get also returns the descriptor's index, the
+// program's identity for counting recordings. Shard groups are small; a
+// linear scan beats a map here.
 type progCache struct {
 	descs []*ProgDesc
 	progs []agent.Program
 }
 
-func (pc *progCache) get(p *ProgDesc, seedLo, seedHi uint64) (agent.Program, error) {
+func (pc *progCache) get(p *ProgDesc, seedLo, seedHi uint64) (agent.Program, int, error) {
 	for i, d := range pc.descs {
 		if d.Name == p.Name && slices.Equal(d.Args, p.Args) {
-			return pc.progs[i], nil
+			return pc.progs[i], i, nil
 		}
 	}
 	prog, err := buildProg(p, seedLo, seedHi)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	pc.descs = append(pc.descs, p)
 	pc.progs = append(pc.progs, prog)
-	return prog, nil
+	return prog, len(pc.progs) - 1, nil
 }
 
+// batchBreakEven is the lanes-per-recording ratio from which a two-agent
+// run of a batch-eligible shard executes through sim.RunPairsBatch
+// rather than the per-case loop. Recording pays for a solo trajectory
+// per distinct (program, start) out to the longest lane budget that
+// needs it, while a live run stops at the meeting; only when enough
+// lanes share each recording does resolving them beat running them.
+// The value and the per-shard measurements behind it are in doc.go
+// ("Batched shard execution").
+const batchBreakEven = 3
+
 // ExecShardBatch executes the shard through the batch engines: maximal
-// runs of consecutive same-kind cases become one sim.RunPairsBatch /
-// sim.RunBatch call each, with per-case wakeup counts taken from the
-// batch's per-lane attribution. The ShardResult is identical to
-// ExecShard's — the batch engines are pinned to full per-case equality
-// — so batching is purely an execution strategy; b is the caller's
-// reusable arena (workers keep one per connection). Two-agent programs
-// are built once per distinct descriptor, so the engine's
-// record-and-resolve memo fires across the whole group.
+// runs of consecutive same-kind cases become one sim.RunBatch call each
+// (k-agent runs) or, for two-agent runs whose lanes per distinct
+// (program descriptor, start) recording reach batchBreakEven, one
+// sim.RunPairsBatch call; two-agent runs below the break-even execute
+// case by case on sess, exactly as ExecShard does. Per-case wakeup
+// counts come from the batch's per-lane attribution or from
+// sess.Wakeups. The ShardResult is identical to ExecShard's — the batch
+// engines are pinned to full per-case equality — so batching is purely
+// an execution strategy; b is the caller's reusable arena (workers keep
+// one per connection). Two-agent programs are built once per distinct
+// descriptor, so the engine's record-and-resolve memo fires across the
+// whole group.
 func ExecShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc) (*ShardResult, error) {
 	return execShardBatch(sess, b, sh, nil, nil)
 }
@@ -300,6 +315,7 @@ func execShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCac
 		if kind == KindTwoAgent {
 			var pc progCache
 			pcs := make([]sim.PairCase, j-i)
+			recs := make(map[[2]int]struct{}, 2*(j-i))
 			for c := i; c < j; c++ {
 				cd := &sh.Cases[c]
 				if err := checkStart(g, cd.U); err != nil {
@@ -308,20 +324,33 @@ func execShardBatch(sess *sim.Session, b *sim.Batch, sh *ShardDesc, gc *graphCac
 				if err := checkStart(g, cd.V); err != nil {
 					return nil, fmt.Errorf("dist: case %d: %w", c, err)
 				}
-				progA, err := pc.get(&cd.ProgA, sh.SeedLo, sh.SeedHi)
+				progA, ia, err := pc.get(&cd.ProgA, sh.SeedLo, sh.SeedHi)
 				if err != nil {
 					return nil, fmt.Errorf("dist: case %d: %w", c, err)
 				}
-				progB, err := pc.get(&cd.ProgB, sh.SeedLo, sh.SeedHi)
+				progB, ib, err := pc.get(&cd.ProgB, sh.SeedLo, sh.SeedHi)
 				if err != nil {
 					return nil, fmt.Errorf("dist: case %d: %w", c, err)
 				}
+				recs[[2]int{ia, cd.U}] = struct{}{}
+				recs[[2]int{ib, cd.V}] = struct{}{}
 				pcs[c-i] = sim.PairCase{ProgA: progA, ProgB: progB, U: cd.U, V: cd.V, Delay: cd.Delay, Budget: cd.Budget}
 			}
-			two := sess.RunPairsBatch(g, pcs, b)
-			wk := b.Wakeups()
-			for c := i; c < j; c++ {
-				res.Cases[c] = CaseResult{Kind: kind, Two: two[c-i], Wakeups: wk[c-i]}
+			if len(pcs) >= batchBreakEven*len(recs) {
+				two := sess.RunPairsBatch(g, pcs, b)
+				wk := b.Wakeups()
+				for c := i; c < j; c++ {
+					res.Cases[c] = CaseResult{Kind: kind, Two: two[c-i], Wakeups: wk[c-i]}
+				}
+			} else {
+				for c := i; c < j; c++ {
+					pcc := &pcs[c-i]
+					two := sess.RunPrograms(g, pcc.ProgA, pcc.ProgB, pcc.U, pcc.V, pcc.Delay, sim.Config{Budget: pcc.Budget})
+					res.Cases[c] = CaseResult{Kind: kind, Two: two, Wakeups: sess.Wakeups()}
+					if progress != nil {
+						progress(c + 1)
+					}
+				}
 			}
 		} else {
 			mcs := make([]sim.MultiCase, j-i)

@@ -110,7 +110,8 @@ const e7MeasureBudgetCap = 1 << 14
 // hints (dist.MeasureHints on a budget-capped probe of its first case,
 // so Session.Prewarm sizes the worker pool from the real workload) and
 // declared batch-eligible: the grid is seed-free parameter variation of
-// one program pair, exactly what the lockstep batch engine wants.
+// one program pair. Its shards hold 1-4 lanes on 2-3 recordings, below
+// the workers' lanes-per-recording break-even, so they run case by case.
 func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 	plan := &dist.Planner{}
 	for i, c := range cases {

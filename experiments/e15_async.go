@@ -63,10 +63,20 @@ func E15() *Table {
 			jobs = append(jobs, job{ci, pi})
 		}
 	}
-	outcomes := sim.Sweep(jobs, 0, func(j job) any { return cases[j.ci].g }, func(_ *sim.Scratch, j job) outcome {
+	// Each worker extracts into the same two stream buffers job after
+	// job, sized once for a full stream: the streams die with the job,
+	// and regrowing 60k-action slices per extraction dominated E15's
+	// cost.
+	type streams struct{ a, b []async.Action }
+	newStreams := func() any {
+		return &streams{a: make([]async.Action, 0, steps), b: make([]async.Action, 0, steps)}
+	}
+	outcomes := sim.Sweep(jobs, 0, func(j job) any { return cases[j.ci].g }, func(sc *sim.Scratch, j job) outcome {
 		c, p := cases[j.ci], progs[j.pi]
-		a := async.ExtractActions(c.g, p.prog, c.u, steps)
-		b := async.ExtractActions(c.g, p.prog, c.v, steps)
+		buf := sc.Stash(newStreams).(*streams)
+		buf.a = async.AppendActions(buf.a[:0], c.g, p.prog, c.u, steps)
+		buf.b = async.AppendActions(buf.b[:0], c.g, p.prog, c.v, steps)
+		a, b := buf.a, buf.b
 		var o outcome
 		o.asyncRes = async.Run(c.g, a, b, c.u, c.v, async.Synchronizing{})
 		if c.symm && p.name == "universal" {

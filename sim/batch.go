@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the batch engine: the experiment sweeps and the dist
-// workers run shards of hundreds of independent cases on ONE graph —
-// same program family, seed-only variation — and the per-case engines
-// charge each of them full per-run freight: two goroutine acquisitions,
-// a park/unpark on every fetch, a poison abort and an unwind per agent,
-// every case again. The batch engine charges that freight once per
+// workers run shards of many independent cases on ONE graph — one
+// program pair under varying delays, budgets and start pairs — and the
+// per-case engines charge each of them full per-run freight: two
+// goroutine acquisitions, a park/unpark on every fetch, a poison abort
+// and an unwind per agent, every case again. The batch engine charges that freight once per
 // DISTINCT agent behavior instead. Until two agents co-locate they
 // cannot interact (the paper's model: agents are mutually oblivious
 // before meeting), so an agent's entire behavior — the rounds it moves,
@@ -25,9 +25,13 @@ import (
 // lane against two recordings: a two-pointer scan over the merged move
 // events finds the first co-location, and binary searches over the event
 // rounds reconstruct the per-case move and wakeup counts in closed form.
-// A shard whose lanes vary only delay, budget or seed executes its
-// program pair twice — not 2W times — and every lane after the first
-// costs a scan, no goroutines at all. Recordings extend lazily and
+// A shard whose lanes vary only delay or budget executes its program
+// pair twice — not 2W times — and every lane after the first costs a
+// scan, no goroutines at all. A seed is part of the program value, so
+// lanes varying only seeds share no recording; a recording also runs to
+// the longest budget a lane needs, where a live run stops at its
+// meeting, so the engine pays off only with several lanes per recording
+// (dist batches a shard from 3). Recordings extend lazily and
 // geometrically while lanes still need rounds, so early meetings stop
 // the recorders early, and a runner whose program terminates is returned
 // to the pool with no poison. RunBatch (the k-agent engine) keeps its
