@@ -135,8 +135,8 @@ func (w *tracingWorld) recordWait(rounds uint64) {
 }
 
 // Traced wraps a program so that its actions are recorded into trace.
-// The trace is written from the agent's goroutine; read it only after the
-// simulation has returned.
+// The trace is written while the simulator runs the program; read it
+// only after the simulation has returned.
 func Traced(prog Program, trace *Trace) Program {
 	return func(w World) {
 		prog(&tracingWorld{World: w, trace: trace})

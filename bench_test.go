@@ -108,7 +108,7 @@ func BenchmarkE17MultiAgent(b *testing.B) {
 }
 
 // BenchmarkE17Multiagent measures the k-agent scheduler itself at
-// k = 2, 4, 8 (channel-bound UniversalRV sweep shape) and k = 32, 64
+// k = 2, 4, 8 (wakeup-bound UniversalRV sweep shape) and k = 32, 64
 // (where the position-bucketed meeting scan replaces the O(k²) pairwise
 // loop): k UniversalRV agents on a ring with staggered appearance
 // rounds, driven through one pooled session (the E17 workload shape

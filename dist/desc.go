@@ -35,9 +35,6 @@ type ShardDesc struct {
 	// of deterministic programs carry no seeds at all.
 	SeedLo, SeedHi uint64
 
-	// Hints pre-sizes the worker's runner pool before the first case.
-	Hints Hints
-
 	// Batch declares the shard batch-eligible: its cases are independent
 	// parameter variations of one (graph, program-pair) grid, so the
 	// worker may execute runs of same-kind cases through the batch
@@ -51,19 +48,6 @@ type ShardDesc struct {
 
 	// Cases run sequentially, in order, on one pooled session.
 	Cases []CaseDesc
-}
-
-// Hints is the pool warmup block of a shard descriptor: K is the largest
-// concurrent agent count of any case, and ScriptHist the expected script
-// length histogram (bucket i counts scripts with bits.Len(len) == i —
-// the shape sim.Session.ScriptLenHist measures). Workers call
-// sim.Session.Prewarm with K runners and the largest populated bucket's
-// upper bound, so a fresh worker process pays no goroutine creation or
-// buffer growth inside its first case. Hints are advisory: zero hints
-// only cost warmup, never correctness.
-type Hints struct {
-	K          uint32
-	ScriptHist []uint64
 }
 
 // CaseKind selects the engine a case runs on.
@@ -108,14 +92,6 @@ type CaseDesc struct {
 
 	// Budget is the round budget (0 = sim.DefaultBudget), both kinds.
 	Budget uint64
-}
-
-// K returns the case's concurrent agent count (the warmup-hint input).
-func (c *CaseDesc) K() int {
-	if c.Kind == KindMulti {
-		return len(c.Agents)
-	}
-	return 2
 }
 
 func appendProg(dst []byte, p *ProgDesc) []byte {
@@ -227,11 +203,6 @@ func (s *ShardDesc) AppendEncode(dst []byte) []byte {
 	}
 	dst = binary.AppendUvarint(dst, s.SeedLo)
 	dst = binary.AppendUvarint(dst, s.SeedHi)
-	dst = binary.AppendUvarint(dst, uint64(s.Hints.K))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Hints.ScriptHist)))
-	for _, h := range s.Hints.ScriptHist {
-		dst = binary.AppendUvarint(dst, h)
-	}
 	dst = appendBool(dst, s.Batch)
 	dst = binary.AppendUvarint(dst, uint64(len(s.Cases)))
 	for i := range s.Cases {
@@ -265,17 +236,6 @@ func (s *ShardDesc) Decode(data []byte) error {
 	}
 	s.SeedLo = d.uvarint()
 	s.SeedHi = d.uvarint()
-	k := d.uvarint()
-	if d.err == nil && k > maxAgents {
-		d.fail("hint K %d exceeds bound", k)
-	}
-	s.Hints.K = uint32(k)
-	if n := d.count(maxHistLen, "hint bucket"); d.err == nil && n > 0 {
-		s.Hints.ScriptHist = make([]uint64, n)
-		for i := range s.Hints.ScriptHist {
-			s.Hints.ScriptHist[i] = d.uvarint()
-		}
-	}
 	s.Batch = d.bool()
 	ncases := d.count(maxCases, "case")
 	if d.err != nil {

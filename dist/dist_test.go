@@ -354,43 +354,3 @@ func TestBackendErrors(t *testing.T) {
 		t.Fatalf("unexpected outcome %v", res[0].Cases[0].Two.Outcome)
 	}
 }
-
-// TestMeasureHintsAndPrewarm exercises the warmup-hint pipeline: measure
-// a shard, check the measured shape, and run the shard with the hints
-// stamped — behavior must be identical with and without them.
-func TestMeasureHintsAndPrewarm(t *testing.T) {
-	g := graph.Cycle(5)
-	sh := &dist.ShardDesc{GraphText: graph.Encode(g)}
-	for i := 0; i < 4; i++ {
-		agents := make([]dist.AgentDesc, 3)
-		for j := range agents {
-			agents[j] = dist.AgentDesc{Prog: dist.ProgDesc{Name: "universal"}, Start: (i + j) % g.N(), Appear: uint64(j)}
-		}
-		sh.Cases = append(sh.Cases, dist.CaseDesc{Kind: dist.KindMulti, Agents: agents, Budget: 300000})
-	}
-	hints, err := dist.MeasureHints(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hints.K != 3 {
-		t.Fatalf("measured K = %d, want 3", hints.K)
-	}
-	if len(hints.ScriptHist) == 0 {
-		t.Fatal("measured an empty script-length histogram for a batched program")
-	}
-	be := dist.NewInProcess(1)
-	defer be.Close()
-	bare, err := be.Run([]*dist.ShardDesc{sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed := *sh
-	warmed.Hints = hints
-	warm, err := be.Run([]*dist.ShardDesc{&warmed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare[0].Cases, warm[0].Cases) {
-		t.Fatal("warmup hints changed results")
-	}
-}

@@ -68,8 +68,7 @@
 // respawn budget.
 //
 // A worker serves shards on one pooled sim.Session, so its runner
-// goroutines, channels and script buffers stay warm across every shard
-// it drains — the cross-process analogue of one sim.Sweep worker.
+// coroutines and script buffers stay warm across every shard it drains — the cross-process analogue of one sim.Sweep worker.
 // cmd/rvworker is the standalone worker binary (stdin/stdout or TCP);
 // any other binary becomes a worker pool for itself by calling
 // RunWorkerIfChild first thing in main.
@@ -134,9 +133,7 @@
 // graph.Encode image for instances with no spec), the task's opaque
 // parameter block, the declared PRNG seed range (validated against
 // seeded program arguments — a cheap end-to-end transposition guard),
-// pool warmup hints (the maximum concurrent agent count and a
-// script-length histogram in sim.Session.ScriptLenHist's buckets, fed to
-// sim.Session.Prewarm before the first case), and the ordered case list.
+// the batch-eligibility flag, and the ordered case list.
 // A CaseDesc names its programs as registry entries (RegisterProgram) —
 // programs are closures and cannot travel, so the wire carries (name,
 // args) resolved identically on both sides, the classic task-registry
@@ -166,26 +163,27 @@
 //
 // The break-even comes from timing both engines on every two-agent run
 // of one table regeneration and of the perfbench sweep plan (2-vCPU
-// x86-64 host, median of repeated warm runs, min of 5 each):
+// x86-64 host; each figure is the best of 5 repetitions of the mean
+// over at least 40 ms of warm calls):
 //
 //	shard                          lanes recs ratio  batch ms  loop ms
-//	E7  path-3/path-4/K2, 1 STIC       1    2  0.5      ≤0.07    ≤0.04
-//	E12 lazyrandom, 5 graphs          32   64  0.5   0.62-1.51 0.38-0.84
-//	sweep lazyrandom, 5 graphs        16   32  0.5   0.19-0.37 0.13-0.21
-//	E7  path-3                         3    3  1.0       0.07     0.05
-//	E7  symtree-(())                   3    2  1.5      13.1      7.0
-//	E7  K2                             4    2  2.0       0.27     0.19
-//	sweep universal K2                 6    2  3.0       0.26     0.31
-//	sweep universal ring-3            18    3  6.0       5.0      6.7
-//	sweep universal ring-4            24    4  6.0       0.84     0.70
-//	sweep universal hypercube-2       24    4  6.0       0.97     1.28
-//	sweep universal complete-4        24    4  6.0       0.09     0.29
-//	sweep universal ring-5            40    5  8.0       0.09     0.40
+//	E7  path-4, 1 STIC                 1    2  0.5      0.016    0.005
+//	E12 lazyrandom, 6 graphs          32   64  0.5  0.11-0.59 0.09-0.41
+//	sweep lazyrandom, 5 graphs        16   32  0.5  0.06-0.14 0.04-0.08
+//	E7  path-3                         3    3  1.0      0.058    0.033
+//	E7  symtree-(())                   3    2  1.5       9.3      4.6
+//	E7  K2                             4    2  2.0       0.22     0.13
+//	sweep universal K2                 6    2  3.0       0.15     0.22
+//	sweep universal ring-3            18    3  6.0       2.9      4.9
+//	sweep universal ring-4            24    4  6.0       0.69     0.39
+//	sweep universal hypercube-2       24    4  6.0       0.51     0.70
+//	sweep universal complete-4        24    4  6.0       0.04     0.09
+//	sweep universal ring-5            40    5  8.0       0.05     0.18
 //
 // Every run at 2 or fewer lanes per recording is faster live: a live
 // run stops at its meeting and skips waits, while a recording runs out
 // to the longest lane budget that needs it. From 3 on, the batch engine
-// wins in total (7.2 against 9.7 ms), as sim's BenchmarkBatchShard
+// wins in total (4.4 against 6.5 ms), as sim's BenchmarkBatchShard
 // (8-128 lanes per recording) shows at scale. Alongside the pooled
 // session and batch arena, each connection keeps a small graph cache —
 // decoded graphs plus their lazily-derived view signatures, on both the

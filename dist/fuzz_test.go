@@ -28,8 +28,8 @@ func FuzzShardDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
 	f.Add([]byte{0x05, 'r', 'i'})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0x7F})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00})
 	f.Add(append(randShardDesc(r).Encode(), 0xAA))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

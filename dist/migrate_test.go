@@ -125,6 +125,32 @@ func (c *captureConn) bytes() []byte {
 	return append([]byte(nil), c.buf...)
 }
 
+// firstWriteConn closes wrote when the coordinator first writes toward
+// the worker — the coordinator writes nothing before its first shard
+// frame, so that is the moment the worker was dispatched a shard.
+type firstWriteConn struct {
+	io.ReadWriteCloser
+	wrote chan struct{}
+	once  sync.Once
+}
+
+func (c *firstWriteConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.wrote) })
+	return c.ReadWriteCloser.Write(p)
+}
+
+// gatedReadConn blocks the coordinator's reads from the worker, its
+// hello included, until gate is closed.
+type gatedReadConn struct {
+	io.ReadWriteCloser
+	gate chan struct{}
+}
+
+func (c *gatedReadConn) Read(p []byte) (int, error) {
+	<-c.gate
+	return c.ReadWriteCloser.Read(p)
+}
+
 // checkpointFrames re-parses a captured coordinator→worker stream and
 // decodes every checkpoint frame (type byte 8): shard id, resume offset,
 // remaining-case descriptor. Parsing stops at the first truncated frame
@@ -177,9 +203,14 @@ func TestMigrationSkipsCompletedCases(t *testing.T) {
 
 	crasher := startServeWorker(nil, nil, dist.WithChunkCases(2), dist.WithCrashAfterShards(1))
 	survivor := startServeWorker(nil, nil, dist.WithChunkCases(2))
+	// The survivor's hello is held back until the coordinator has sent
+	// the crasher its first shard: otherwise the survivor can drain the
+	// whole queue before the crasher is dispatched anything, and no
+	// crash ever happens.
+	dispatched := make(chan struct{})
 	taps := []*captureConn{
-		{ReadWriteCloser: crasher.coord},
-		{ReadWriteCloser: survivor.coord},
+		{ReadWriteCloser: &firstWriteConn{ReadWriteCloser: crasher.coord, wrote: dispatched}},
+		{ReadWriteCloser: &gatedReadConn{ReadWriteCloser: survivor.coord, gate: dispatched}},
 	}
 	be := dist.NewFromStreams([]io.ReadWriteCloser{taps[0], taps[1]}, dist.WithTuning(tun))
 	defer be.Close()

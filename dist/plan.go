@@ -37,9 +37,6 @@ func (p *Planner) Add(key any, g *graph.Graph, c CaseDesc) int {
 		p.caseIdx = append(p.caseIdx, nil)
 	}
 	sh := p.shards[si]
-	if k := uint32(c.K()); k > sh.Hints.K {
-		sh.Hints.K = k
-	}
 	sh.Cases = append(sh.Cases, c)
 	p.caseIdx[si] = append(p.caseIdx[si], p.n)
 	p.n++
@@ -54,20 +51,6 @@ func (p *Planner) SetSeedRange(key any, lo, hi uint64) {
 		panic(fmt.Sprintf("dist: SetSeedRange for unknown shard key %v", key))
 	}
 	p.shards[si].SeedLo, p.shards[si].SeedHi = lo, hi
-}
-
-// SetHints stamps measured warmup hints on the key's shard (K is merged
-// with the case-derived value, the histogram replaces).
-func (p *Planner) SetHints(key any, h Hints) {
-	si, ok := p.byKey[key]
-	if !ok {
-		panic(fmt.Sprintf("dist: SetHints for unknown shard key %v", key))
-	}
-	sh := p.shards[si]
-	if h.K > sh.Hints.K {
-		sh.Hints.K = h.K
-	}
-	sh.Hints.ScriptHist = h.ScriptHist
 }
 
 // SetBatch declares the key's shard batch-eligible (see

@@ -22,9 +22,10 @@ import (
 // misdecode rather than degrade. v2 added the hello capacity field,
 // heartbeat frames, chunked result frames and per-frame checksums; v3
 // added the checkpoint frame — mid-shard migration of an in-flight shard
-// to a surviving worker, resuming after its completed cases (see doc.go
-// for the full schema).
-const ProtoVersion = 3
+// to a surviving worker, resuming after its completed cases; v4 dropped
+// the shard descriptor's pool warmup hints (see doc.go for the full
+// schema).
+const ProtoVersion = 4
 
 // maxFrame bounds one frame's payload (64 MiB): far above any real shard
 // descriptor or aggregate, low enough that a corrupt length prefix cannot
@@ -151,7 +152,6 @@ const (
 	maxArgs      = 1 << 12
 	maxNameLen   = 1 << 10
 	maxGraphLen  = 1 << 22
-	maxHistLen   = 64
 	maxMeetings  = 1 << 20
 	maxViewSig   = 1 << 22
 	maxErrStrLen = 1 << 16

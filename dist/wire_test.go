@@ -78,13 +78,6 @@ func randShardDesc(r *rand.Rand) *dist.ShardDesc {
 		sh.SeedLo = uint64(r.Intn(100))
 		sh.SeedHi = sh.SeedLo + uint64(r.Intn(1000))
 	}
-	sh.Hints.K = uint32(r.Intn(8))
-	if n := r.Intn(6); n > 0 {
-		sh.Hints.ScriptHist = make([]uint64, n)
-		for i := range sh.Hints.ScriptHist {
-			sh.Hints.ScriptHist[i] = uint64(r.Intn(100))
-		}
-	}
 	ncases := r.Intn(6)
 	for i := 0; i < ncases; i++ {
 		sh.Cases = append(sh.Cases, randCaseDesc(r))

@@ -96,22 +96,14 @@ type e7Case struct {
 	delta uint64
 }
 
-// e7MeasureBudgetCap bounds the budget of the probe case MeasureHints
-// executes: hints only need the workload's script-length shape, and the
-// early phases expose it without paying an infeasible case's full
-// budget-exhausting run.
-const e7MeasureBudgetCap = 1 << 14
-
 // e7Plan builds E7's dispatch plan: shard descriptors keyed by graph —
 // in-process protocol workers by default, forked worker processes under
 // `rvx --dist-workers` — with byte-identical results either way. Budgets
 // are computed coordinator-side from the classification; the descriptor
-// carries them explicitly. Every shard is stamped with measured warmup
-// hints (dist.MeasureHints on a budget-capped probe of its first case,
-// so Session.Prewarm sizes the worker pool from the real workload) and
-// declared batch-eligible: the grid is seed-free parameter variation of
-// one program pair. Its shards hold 1-4 lanes on 2-3 recordings, below
-// the workers' lanes-per-recording break-even, so they run case by case.
+// carries them explicitly. Every shard is declared batch-eligible: the
+// grid is seed-free parameter variation of one program pair. Its shards
+// hold 1-4 lanes on 2-3 recordings, below the workers'
+// lanes-per-recording break-even, so they run case by case.
 func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 	plan := &dist.Planner{}
 	for i, c := range cases {
@@ -130,21 +122,6 @@ func e7Plan(cases []e7Case, reps []stic.Report) *dist.Planner {
 		}
 		seen[c.g] = true
 		plan.SetBatch(c.g)
-	}
-	for _, sh := range plan.Shards() {
-		probe := *sh
-		probe.Cases = append([]dist.CaseDesc(nil), sh.Cases[:1]...)
-		if probe.Cases[0].Budget > e7MeasureBudgetCap {
-			probe.Cases[0].Budget = e7MeasureBudgetCap
-		}
-		h, err := dist.MeasureHints(&probe)
-		if err != nil {
-			panic(err)
-		}
-		if h.K > sh.Hints.K {
-			sh.Hints.K = h.K
-		}
-		sh.Hints.ScriptHist = h.ScriptHist
 	}
 	return plan
 }

@@ -10,11 +10,11 @@ import (
 // This file is the batch engine: the experiment sweeps and the dist
 // workers run shards of many independent cases on ONE graph — one
 // program pair under varying delays, budgets and start pairs — and the
-// per-case engines charge each of them full per-run freight: two
-// goroutine acquisitions, a park/unpark on every fetch, a poison abort
-// and an unwind per agent, every case again. The batch engine charges that freight once per
-// DISTINCT agent behavior instead. Until two agents co-locate they
-// cannot interact (the paper's model: agents are mutually oblivious
+// per-case engines charge each of them full per-run freight: two program
+// executions, a coroutine switch on every fetch, and an abort and unwind
+// per agent, every case again. The batch engine charges that freight
+// once per DISTINCT agent behavior instead. Until two agents co-locate
+// they cannot interact (the paper's model: agents are mutually oblivious
 // before meeting), so an agent's entire behavior — the rounds it moves,
 // the positions it visits, the rounds its program interacts with the
 // scheduler, the round it terminates — is a pure function of (graph,
@@ -27,14 +27,14 @@ import (
 // rounds reconstruct the per-case move and wakeup counts in closed form.
 // A shard whose lanes vary only delay or budget executes its program
 // pair twice — not 2W times — and every lane after the first costs a
-// scan, no goroutines at all. A seed is part of the program value, so
-// lanes varying only seeds share no recording; a recording also runs to
-// the longest budget a lane needs, where a live run stops at its
-// meeting, so the engine pays off only with several lanes per recording
-// (dist batches a shard from 3). Recordings extend lazily and
+// scan, no program execution at all. A seed is part of the program
+// value, so lanes varying only seeds share no recording; a recording
+// also runs to the longest budget a lane needs, where a live run stops
+// at its meeting, so the engine pays off only with several lanes per
+// recording (dist batches a shard from 3). Recordings extend lazily and
 // geometrically while lanes still need rounds, so early meetings stop
 // the recorders early, and a runner whose program terminates is returned
-// to the pool with no poison. RunBatch (the k-agent engine) keeps its
+// to the pool with no abort. RunBatch (the k-agent engine) keeps its
 // interleaved live lanes: gathering semantics observe the joint
 // schedule, which has no per-agent closed form.
 //
@@ -68,14 +68,14 @@ type MultiCase struct {
 }
 
 // Batch is the reusable structure-of-arrays arena behind one in-flight
-// batch run: per-lane progress arrays, the retired-runner list, the
-// run's statistics sink and the multi-lane scheduler state, all recycled
-// between calls so a warm arena executes whole shards with zero
-// steady-state allocations (the pair path; multi results inherently
-// allocate their Meetings/Moves). A Batch may be used by one batch run
-// at a time; distinct Batches may run concurrently on one Session (the
-// runner pool is the only shared state, and it is mutex-guarded). Sweeps
-// get a per-worker arena from Scratch.Batch.
+// batch run: per-lane progress arrays, the run's statistics sink and the
+// multi-lane scheduler state, all recycled between calls so a warm arena
+// executes whole shards with zero steady-state allocations (the pair
+// path; multi results inherently allocate their Meetings/Moves). A Batch
+// may be used by one batch run at a time; distinct Batches may run
+// concurrently on one Session (the runner pool is the only shared state,
+// and it is mutex-guarded). Sweeps get a per-worker arena from
+// Scratch.Batch.
 type Batch struct {
 	stats runStats
 
@@ -98,11 +98,8 @@ type Batch struct {
 	recIdx map[recKey]int
 
 	// act is the live-lane index list of the multi engine, compacted in
-	// place as lanes retire; pending collects released runners whose
-	// goroutines are still unwinding (collected in one overlapping pass
-	// at batch end).
-	act     []int
-	pending []*runner
+	// place as lanes retire.
+	act []int
 
 	// Multi-lane state: one parked multiRun per lane, its slices carved
 	// from the flat arrays below (sized sum-of-k / sum-of-k² across the
@@ -218,7 +215,7 @@ func countLE(a []uint64, t uint64) uint64 {
 // more than one binary order past the rounds lanes actually ask about —
 // which matters at both extremes: an E12 lane's budget is millions of
 // rounds but its meetings come in thousands, and a per-move program
-// costs a full channel round trip per recorded round, so a trivial case
+// costs a coroutine switch per recorded round, so a trivial case
 // meeting at round 2 must not record to 64.
 func growTarget(hi uint64) uint64 {
 	if hi == 0 {
@@ -233,9 +230,7 @@ func growTarget(hi uint64) uint64 {
 
 // getRecording returns the index in b.recs of the recording for
 // (p, start), creating and acquiring it on first sight. Creation is
-// acquire-only — the round-0 fetch happens on first extension — so the
-// pre-pass overlaps all distinct program starts before any lane blocks
-// on one.
+// acquire-only: the round-0 fetch happens on first extension.
 func (s *Session) getRecording(b *Batch, g *graph.Graph, p agent.Program, start int) int32 {
 	k := recKey{prog: progID(p), start: start}
 	if i, ok := b.recIdx[k]; ok {
@@ -268,7 +263,7 @@ func (s *Session) getRecording(b *Batch, g *graph.Graph, p agent.Program, start 
 // under how rounds are partitioned into advance calls — the property
 // that makes the solo trace reusable under any partner and delay. A
 // program that terminates releases its runner to the pool immediately,
-// with no poison and no unwind.
+// with no abort and no unwind.
 func (s *Session) extendRec(b *Batch, rec *recording, bound uint64) {
 	if !rec.init {
 		rec.init = true
@@ -277,8 +272,7 @@ func (s *Session) extendRec(b *Batch, rec *recording, bound uint64) {
 		rec.fetchR = append(rec.fetchR, 0)
 		if r.state == stDone {
 			rec.doneAt = 0
-			s.releaseAsync(r)
-			b.pending = append(b.pending, r)
+			s.release(r)
 			rec.r = nil
 		}
 	}
@@ -332,8 +326,7 @@ func (s *Session) extendRec(b *Batch, rec *recording, bound uint64) {
 			rec.fetchR = append(rec.fetchR, t)
 			if r.state == stDone {
 				rec.doneAt = t
-				s.releaseAsync(r)
-				b.pending = append(b.pending, r)
+				s.release(r)
 				rec.r = nil
 				break
 			}
@@ -364,19 +357,16 @@ func (s *Session) RunPairsBatch(g *graph.Graph, cases []PairCase, b *Batch) []Re
 	b.results = ensure(b.results, w)
 	b.la = ensure(b.la, w)
 	b.lb = ensure(b.lb, w)
-	if cap(b.pending) < 2*w {
-		b.pending = make([]*runner, 0, 2*w)
-	}
 	if b.recIdx == nil {
 		b.recIdx = make(map[recKey]int, 2*w)
 	}
 	b.nrec = 0
 	defer b.cleanup(s)
 	// Pre-pass: create every distinct recording (acquire only) before
-	// resolving any lane, so the W-lane shard starts at most 2·distinct
-	// program goroutines, all overlapping. Lanes whose later agent never
-	// appears within budget get no B recording at all, exactly as the
-	// per-case engine never acquires theirs.
+	// resolving any lane, so the W-lane shard executes at most 2·distinct
+	// programs. Lanes whose later agent never appears within budget get
+	// no B recording at all, exactly as the per-case engine never
+	// acquires theirs.
 	for i := range cases {
 		c := &cases[i]
 		b.delay[i] = c.Delay
@@ -404,7 +394,7 @@ func (s *Session) RunPairsBatch(g *graph.Graph, cases []PairCase, b *Batch) []Re
 }
 
 // resolvePair computes lane li's Result from its two recordings — no
-// goroutines, no channels, just a two-pointer scan over move events.
+// program execution, just a two-pointer scan over move events.
 //
 // Positions are piecewise-constant between move events, so the first
 // co-location is found by checking only breakpoints: the merged move
@@ -548,11 +538,8 @@ func (s *Session) resolvePair(b *Batch, li int, la, lb *recording) {
 // results[i] being field-for-field what Session.RunMany(g, cases[i]...)
 // returns (nil-ness of Meetings/Moves included). Each lane is a parked
 // multiRun advanced one scheduler iteration (boundary + event horizon)
-// per sweep; acquisition of all round-zero agents is batched up front
-// and retired lanes release their goroutines asynchronously, so the
-// per-case acquire/release handshakes overlap across the whole shard.
-// The returned slice is backed by the arena and valid until b's next
-// batch run; per-lane wakeups are available from b.Wakeups.
+// per sweep. The returned slice is backed by the arena and valid until
+// b's next batch run; per-lane wakeups are available from b.Wakeups.
 func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiResult {
 	w := len(cases)
 	b.stats = runStats{}
@@ -576,9 +563,6 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 	b.mresults = ensure(b.mresults, w)
 	if cap(b.act) < w {
 		b.act = make([]int, 0, w)
-	}
-	if cap(b.pending) < sumK {
-		b.pending = make([]*runner, 0, sumK)
 	}
 	useBuckets := maxK >= bucketScanMinK
 	if useBuckets {
@@ -621,17 +605,6 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 		off += k
 		off2 += k * k
 		m.begin()
-		// Pre-acquire the lane's round-zero agents so all lanes' program
-		// starts overlap; the lane's first step fetches them exactly as
-		// its boundary would have.
-		for j := range m.agents {
-			if m.agents[j].Appear == 0 {
-				m.runners[j] = s.acquireFor(g, m.agents[j].Program, m.agents[j].Start, &b.stats, &b.wakeups[i])
-				m.present[j] = true
-				m.presentCount++
-				m.rebuild = true
-			}
-		}
 	}
 
 	act := b.act[:0]
@@ -647,8 +620,7 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 			if m.step() {
 				for j, r := range m.runners {
 					if r != nil {
-						s.releaseAsync(r)
-						b.pending = append(b.pending, r)
+						s.release(r)
 						m.runners[j] = nil
 					}
 				}
@@ -670,16 +642,14 @@ func (s *Session) RunBatch(g *graph.Graph, cases []MultiCase, b *Batch) []MultiR
 // cleanup is the deferred tail of every batch run: release whatever
 // runners are still live — recorders whose programs had not terminated
 // by the last round any lane asked about (routine), multi-lane runners
-// only on a panicking unwind — collect every released goroutine in one
-// overlapping pass, and publish the batch totals as the session's
-// most-recent-run statistics (under the pool lock: concurrent batches
-// may finish together, and last-writer-wins is the documented "most
-// recent" semantics).
+// only on a panicking unwind — and publish the batch totals as the
+// session's most-recent-run statistics (under the pool lock: concurrent
+// batches may finish together, and last-writer-wins is the documented
+// "most recent" semantics).
 func (b *Batch) cleanup(s *Session) {
 	for i := 0; i < b.nrec; i++ {
 		if r := b.recs[i].r; r != nil {
-			s.releaseAsync(r)
-			b.pending = append(b.pending, r)
+			s.release(r)
 			b.recs[i].r = nil
 		}
 	}
@@ -691,16 +661,11 @@ func (b *Batch) cleanup(s *Session) {
 	for i := range b.runs {
 		for j, r := range b.runs[i].runners {
 			if r != nil {
-				s.releaseAsync(r)
-				b.pending = append(b.pending, r)
+				s.release(r)
 				b.runs[i].runners[j] = nil
 			}
 		}
 	}
-	for _, r := range b.pending {
-		s.collect(r)
-	}
-	b.pending = b.pending[:0]
 	s.mu.Lock()
 	s.stats = b.stats
 	s.mu.Unlock()

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkRoundThroughput measures raw scheduler speed: rounds per second
 // with both agents moving every round (the worst case for the lock-step
-// channel protocol — no fast-forwarding possible).
+// request/grant protocol — no fast-forwarding possible).
 func BenchmarkRoundThroughput(b *testing.B) {
 	g := graph.Cycle(64)
 	walker := func(w agent.World) {
@@ -44,14 +44,14 @@ func uxsStyleScript(steps, n int) []int {
 
 // BenchmarkScriptedWalk measures the batched execution engine: both
 // agents loop a long MoveSeq script, so the scheduler steps positions in
-// its tight lock-step loop with no channel traffic.
+// its tight lock-step loop without switching into the programs.
 func BenchmarkScriptedWalk(b *testing.B) {
 	benchWalk(b, false)
 }
 
 // BenchmarkPerMoveWalk is the identical walk through the per-move
-// reference path (two channel handshakes and a goroutine wakeup per
-// round) — the seed engine's only mode, kept as the speedup baseline.
+// reference path (a coroutine switch into each program per round) — the
+// seed engine's only mode, kept as the speedup baseline.
 func BenchmarkPerMoveWalk(b *testing.B) {
 	benchWalk(b, true)
 }
@@ -137,8 +137,8 @@ func BenchmarkFastForward(b *testing.B) {
 // grid varies delay and budget over a fixed instance; E12 sweeps delays
 // per seed). The pair is the paper's "waiting for Mommy" reduction: a
 // UXS-style scripted searcher against agent.Sit. The per-case engine
-// pays full scheduling freight — acquire/release handshakes, fetch
-// latency — for every grid point; the batch engine records the pair
+// pays full scheduling freight — acquire/release, a program execution
+// per agent — for every grid point; the batch engine records the pair
 // once and resolves the whole grid against it, which is exactly the
 // amortization being measured. The searcher alternates one application
 // with an equal hold (the enhanced-trajectory discipline the rendezvous

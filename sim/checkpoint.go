@@ -14,7 +14,7 @@ import (
 // later inside any pooled Session. Runs here are worst-case-deterministic
 // — a run's state at round t is a pure function of (graph, programs,
 // starts, delays) and t — so a Checkpoint does not need to capture agent
-// goroutine stacks or program closures (it cannot: RNG streams and
+// coroutine stacks or program closures (it cannot: RNG streams and
 // recursion state live inside the program). Instead it pins the run's
 // inputs, the round, and the full observable scheduler state at that
 // round; Resume re-runs the inputs with the identical stop-clamped

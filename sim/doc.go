@@ -6,33 +6,33 @@
 // (the gathering setting of the paper's related work [25]).
 //
 // The scheduler is strictly deterministic: agent programs run as
-// goroutines but are advanced in lock-step, and the programs share no
-// state. Long mutual waits are fast-forwarded in O(1), which is what
-// makes the paper's padding-heavy algorithms (whose round counts are
-// exponential) simulable: simulated time is decoupled from physical work.
+// coroutines that the scheduler resumes in lock-step, one at a time, and
+// the programs share no state. Long mutual waits are fast-forwarded in
+// O(1), which is what makes the paper's padding-heavy algorithms (whose
+// round counts are exponential) simulable: simulated time is decoupled
+// from physical work.
 //
 // # Batched execution
 //
-// A per-move interaction costs a request/grant channel round trip and two
-// goroutine wakeups. Programs that know a stretch of actions in advance
-// submit it as one agent.World.MoveSeq script: the scheduler then steps
-// the scripted positions itself, round by round, in a tight in-process
-// loop — waking the agent goroutine once per script instead of once per
-// edge traversal — while preserving exact per-round meeting detection,
-// budget accounting and observer semantics. Runs of ScriptWait actions
-// inside a script coalesce into the same O(1) fast-forward path as Wait,
-// and the world layer defers and merges adjacent Wait calls (riding the
-// next script request as its lead) — all invisible to the program, since
-// waiting changes no percept and no position. Batched and unbatched
-// execution of the same program are behavior-identical (same Result
-// field by field); the engine-equivalence tests pin this down across the
-// STIC suite.
+// A per-move interaction costs a coroutine switch into the program and
+// back. Programs that know a stretch of actions in advance submit it as
+// one agent.World.MoveSeq script: the scheduler then steps the scripted
+// positions itself, round by round, in a tight in-process loop — waking
+// the agent once per script instead of once per edge traversal — while
+// preserving exact per-round meeting detection, budget accounting and
+// observer semantics. Runs of ScriptWait actions inside a script coalesce
+// into the same O(1) fast-forward path as Wait, and the world layer
+// defers and merges adjacent Wait calls (riding the next script request
+// as its lead) — all invisible to the program, since waiting changes no
+// percept and no position. Batched and unbatched execution of the same
+// program are behavior-identical (same Result field by field); the
+// engine-equivalence tests pin this down across the STIC suite.
 //
 // # Degree-reporting grants
 //
 // agent.World.MoveSeqDegrees is MoveSeq with the degree percept streamed
 // alongside the entry ports: the runner fills a second per-agent buffer
-// in the same channel-free lock-step loop — degrees[i] is the degree of
+// in the same lock-step loop — degrees[i] is the degree of
 // the node occupied after action i, i.e. the node a move enters (degree
 // observed on entry) or the unchanged current node for a ScriptWait —
 // and the grant hands both slices back under the same
@@ -57,10 +57,8 @@
 // workload's ceiling. Session.WakeupsByPhase breaks the count down by
 // the agent.Phase tag the producing procedure set (viewWalk, explore,
 // symmRV, schedule), so a batching regression names its producer; and
-// Session.ScriptLenHist records the run's script-length histogram —
-// together with the agent count, the measured pool warmup hint a
-// distributed shard descriptor carries so Session.Prewarm can pre-size a
-// remote worker's pool before its first case.
+// Session.ScriptLenHist records the run's script-length histogram — how
+// much work each wakeup carries.
 //
 // The complementary channel is agent.RunSeq, the side-effects-only
 // script: the caller declares it will not read the percept streams, the
@@ -74,16 +72,19 @@
 //
 // # Pooled runner sessions
 //
-// A runner — the goroutine, channel pair and per-agent buffers behind
-// one simulated agent — is reusable: a Session keeps released runners
-// parked on an assignment channel and hands them to subsequent runs, so
-// a sweep shard's thousands of runs create no goroutines and no channels
-// after warmup. The request and grant channels form a one-deep pipeline
-// in each direction; aborted runs are signaled in-band by a poison
-// grant, and every message carries its run's generation so a stale
-// deposit from an aborted run is discarded by the next run rather than
-// misread. Sweep threads one Session per worker through Scratch.Session
-// and closes it when the worker retires.
+// A runner — the iter.Pull coroutine and per-agent buffers behind one
+// simulated agent — is reusable: a Session keeps released runners and
+// hands them to subsequent runs, so a sweep shard's thousands of runs
+// create no coroutines after warmup. The scheduler pulls each request
+// from the coroutine (one direct switch, no channels) and writes the
+// grant into the runner before the next pull; consecutive assignments
+// run inside one coroutine, which suspends at each program's terminal
+// request until the next assignment's first pull. A run that ends while
+// its program is live lets the agent process the grant it already
+// earned, then unwinds it at its next interaction, so observable side
+// effects (agent.Traced trajectories) are deterministic. Sweep threads
+// one Session per worker through Scratch.Session and closes it, ending
+// the coroutines, when the worker retires.
 //
 // # K-agent fast-forward invariants
 //
@@ -92,13 +93,13 @@
 //
 //  1. Event horizon. From a boundary at round t, every agent can be
 //     driven horizon = min(budget-t, next appearance - t, min over
-//     present runners of runway()) rounds with no goroutine interaction,
+//     present runners of runway()) rounds with no program interaction,
 //     where runway is the script's pending lead plus its remaining
 //     length (a lower bound when SeqWait escapes compress further
 //     rounds, which only shortens horizons), the remaining wait, 1 for
 //     a pending single move, and unbounded for a terminated program. No
 //     runner reaches the request-pulling state before the horizon's
-//     final round, so fetch — the only blocking interaction — happens
+//     final round, so fetch — the only switch into a program — happens
 //     only at boundaries. Degree-reporting scripts have the same runway
 //     as plain ones: the degree buffer is filled as positions advance,
 //     never by extra interactions.
@@ -146,7 +147,7 @@
 // resolves every lane against a pair of recordings with a two-pointer
 // scan over their merged move rounds (one side shifted by the lane's
 // delay). A lane's meeting round, outcome, move counts and wakeup
-// counts are all read off the logs; no goroutine runs per lane.
+// counts are all read off the logs; no program runs per lane.
 // Resolution is exact, not approximate: the fetch log marks the
 // engine's real action-end rounds, which are invariant under how
 // advance() partitions a run, so per-lane Results — Meetings order,
@@ -165,7 +166,7 @@
 // for every lane that names the same program value and start. Every
 // program in this repository satisfies it, and dist's program registry
 // requires it of anything that travels the wire. RunBatch, the
-// multi-agent analogue, batches arena reuse and pool warmup but keeps
+// multi-agent analogue, batches arena reuse but keeps
 // each lane's k-agent run live — gathering observes the joint
 // schedule, so there is no per-agent closed form to record.
 //
@@ -179,7 +180,7 @@
 // bounded-cursor-hardened varint frame (Encode/Decode, pinned by
 // FuzzCheckpointDecode). What the frame deliberately does NOT carry is
 // anything reconstructible by determinism: pending grant entry/degree
-// buffers, script action payloads in flight, runner goroutine state.
+// buffers, script action payloads in flight, runner coroutine state.
 // ResumePair/ResumeMany instead re-execute the run from round zero with
 // the scheduler clamped to stop at the checkpoint round, verify the
 // replayed state field-for-field against the frame (a tampered or

@@ -61,17 +61,17 @@ type MultiConfig struct {
 const bucketScanMinK = 32
 
 // RunMany executes k agents in lock-step on g through the
-// direct-execution scheduler: it advances all agents together to the
-// next event horizon — the earliest script boundary, wait end, agent
+// direct-execution scheduler: it advances all agents together to the next
+// event horizon — the earliest script boundary, wait end, agent
 // appearance or budget edge — and inside a horizon steps scripted moves
-// in a tight channel-free loop, skipping mutual-wait stretches in O(1).
-// Pairwise meetings are recorded (first meeting per pair, see
-// MultiResult.Meetings for the order; at k >= bucketScanMinK the scan is
-// position-bucketed instead of pairwise, with identical output); the run
-// ends on gathering (when StopOnGather is set), on the first meeting
-// (when StopOnFirstMeeting is set), on the budget, or — when every
-// program has terminated at scattered nodes — on proof that nothing
-// further can happen.
+// in a tight loop that runs no program code, skipping mutual-wait
+// stretches in O(1). Pairwise meetings are recorded (first meeting per
+// pair, see MultiResult.Meetings for the order; at k >= bucketScanMinK
+// the scan is position-bucketed instead of pairwise, with identical
+// output); the run ends on gathering (when StopOnGather is set), on the
+// first meeting (when StopOnFirstMeeting is set), on the budget, or —
+// when every program has terminated at scattered nodes — on proof that
+// nothing further can happen.
 //
 // RunManyReference is the retained round-by-round reference spec; the
 // engine-equivalence suite pins RunMany to it on randomized cases.
@@ -216,11 +216,7 @@ type multiRun struct {
 	presentCount int
 	t            uint64
 	first        bool
-	// rebuild forces the next step's active-set rebuild: set when agents
-	// were pre-acquired outside a boundary (the batch engine's
-	// assign-overlap pre-pass).
-	rebuild bool
-	done    bool
+	done         bool
 	// stopAt suspends the run at the first scheduler boundary whose round
 	// reaches it (checkpoint capture/replay — see checkpoint.go): step
 	// returns true with suspended set instead of finishing, runners still
@@ -250,7 +246,6 @@ func (m *multiRun) begin() {
 	m.presentCount = 0
 	m.t = 0
 	m.first = true
-	m.rebuild = false
 	m.done = false
 	m.stopAt = noStopRound
 	m.suspended = false
@@ -354,8 +349,8 @@ func (m *multiRun) detect(t uint64, moved []bool) bool {
 
 // step runs one scheduler iteration — an event boundary followed by one
 // full event-horizon drive — and reports whether the run ended (res is
-// then final). Boundary fetches may block on agent goroutines; inside a
-// horizon the engine is channel-free by construction.
+// then final). Boundary fetches switch into agent coroutines; inside a
+// horizon the engine runs no program code by construction.
 func (m *multiRun) step() bool {
 	s, g, agents := m.s, m.g, m.agents
 	k := len(agents)
@@ -367,8 +362,7 @@ func (m *multiRun) step() bool {
 	// request from every agent that finished its previous action.
 	// States can only change here — inside a horizon no runner ever
 	// reaches stNeedReq before the horizon's final round.
-	appeared := m.rebuild
-	m.rebuild = false
+	appeared := false
 	for i := range agents {
 		if !present[i] && t >= agents[i].Appear {
 			runners[i] = s.acquireFor(g, agents[i].Program, agents[i].Start, m.stats, m.lane)
@@ -424,8 +418,8 @@ func (m *multiRun) step() bool {
 	}
 
 	// Event horizon: how far every agent can be driven without any
-	// goroutine interaction — bounded by the budget, the next
-	// appearance, and each runner's channel-free runway. A pending
+	// program interaction — bounded by the budget, the next
+	// appearance, and each runner's runway. A pending
 	// checkpoint round bounds it too, making that round a boundary.
 	horizon := budget - t
 	if d := m.stopAt - t; d < horizon {

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"iter"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"repro/agent"
@@ -27,12 +27,12 @@ type runStats struct {
 	scriptHist [scriptHistBuckets]uint64
 }
 
-// Session owns a pool of runners — the goroutine, the request/grant
-// channel pair and the per-agent scratch buffers behind one simulated
-// agent — and reuses them across runs. Creating those per run is the
-// simulator's last steady-state allocator (ROADMAP: "the simulator
-// session itself"), so the experiment sweeps thread a Session through
-// each worker's Scratch and run every case of a shard on warm runners.
+// Session owns a pool of runners — the agent coroutine and the
+// per-agent scratch buffers behind one simulated agent — and reuses them
+// across runs. Creating those per run is the simulator's last
+// steady-state allocator (ROADMAP: "the simulator session itself"), so
+// the experiment sweeps thread a Session through each worker's Scratch
+// and run every case of a shard on warm runners.
 //
 // A Session is NOT safe for concurrent SOLO use: exactly one
 // Run/RunPrograms/RunMany may be active on it at a time (sweeps use one
@@ -40,20 +40,18 @@ type runStats struct {
 // concurrent RunPairsBatch/RunBatch calls may share one Session as long
 // as each brings its own Batch arena — the runner pool itself is
 // mutex-guarded, and all per-run state lives in the arena. Close releases
-// the pooled goroutines; a Session used via Scratch.Session is closed by
+// the pooled coroutines; a Session used via Scratch.Session is closed by
 // Sweep itself when the worker retires.
 type Session struct {
-	// mu guards the runner free list and the goroutine WaitGroup
-	// registration — the only state shared between concurrent batch runs.
+	// mu guards the runner free list — the only state shared between
+	// concurrent batch runs.
 	mu   sync.Mutex
 	free []*runner
-	wg   sync.WaitGroup
 
 	// stats holds the most recent run's scheduler statistics (see
-	// Wakeups, WakeupsByPhase, ScriptLenHist) — the measured source of
-	// the warmup hints that dist shard descriptors carry to remote
-	// workers. A batch run copies its arena's totals here when it
-	// finishes, so "most recent run" means the whole batch.
+	// Wakeups, WakeupsByPhase, ScriptLenHist). A batch run copies its
+	// arena's totals here when it finishes, so "most recent run" means
+	// the whole batch.
 	stats runStats
 
 	// Reusable k-agent scheduler state (see multi.go).
@@ -70,7 +68,7 @@ type Session struct {
 }
 
 // Wakeups returns the number of scheduler-agent interactions (requests
-// fetched from agent goroutines, each the result of one goroutine wakeup)
+// pulled from agent coroutines, each one switch into the program)
 // during the session's most recent Run/RunPrograms/RunMany. It is a debug
 // statistic: the batching work lives or dies by this number, and the
 // wakeup regression tests pin it so a producer change cannot silently
@@ -86,12 +84,10 @@ func (s *Session) Wakeups() uint64 { return s.stats.wakeups }
 func (s *Session) WakeupsByPhase() [agent.PhaseCount]uint64 { return s.stats.wakeupsBy }
 
 // ScriptLenHist returns the most recent run's histogram of batched script
-// lengths: bucket i counts fetched script requests whose action count has
+// lengths: bucket i counts pulled script requests whose action count has
 // bits.Len == i (lengths in [2^(i-1), 2^i); bucket 0 is always empty —
-// empty scripts are never submitted). Together with the agent count it is
-// the measured pool warmup hint a dist shard descriptor carries, so a
-// remote worker can pre-size its runner pool and script buffers before
-// the first case arrives.
+// empty scripts are never submitted). It shows how much work each wakeup
+// carries: a batching regression shifts mass toward the short buckets.
 func (s *Session) ScriptLenHist() [scriptHistBuckets]uint64 { return s.stats.scriptHist }
 
 // resetStats clears the per-run statistics at the start of a run.
@@ -99,61 +95,18 @@ func (s *Session) resetStats() {
 	s.stats = runStats{}
 }
 
-// Prewarm ensures at least k pooled runners exist, each with script
-// entry and degree buffers of capacity at least scriptCap (both streams:
-// degree-reporting grants are the dominant script shape since the
-// percept-streaming work), so a freshly forked worker's first run pays
-// neither goroutine creation nor buffer growth. It is the consumer of
-// the warmup hints (agent count, script-length histogram) that dist
-// shard descriptors carry. Prewarming is purely an allocation warm-up:
-// runs behave identically with or without it.
-func (s *Session) Prewarm(k, scriptCap int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.free) < k {
-		r := &runner{
-			req:    make(chan request, 1),
-			grant:  make(chan grantMsg, 1),
-			assign: make(chan runAssign),
-			idle:   make(chan struct{}),
-		}
-		s.wg.Add(1)
-		go r.work(&s.wg)
-		s.free = append(s.free, r)
-	}
-	for _, r := range s.free {
-		if cap(r.scriptEntries) < scriptCap {
-			r.scriptEntries = make([]int, 0, scriptCap)
-		}
-		if cap(r.scriptDegsBuf) < scriptCap {
-			r.scriptDegsBuf = make([]int, 0, scriptCap)
-		}
-	}
-}
-
 // NewSession returns an empty session; runners are created on demand.
 func NewSession() *Session { return &Session{} }
 
-// Pooled returns the number of idle runners currently in the pool —
-// every runner Prewarm or past runs created that is not assigned to an
-// active run. It is a warmup observability hook: the dist tests use it
-// to assert that a shard's warmup hints were actually consumed.
-func (s *Session) Pooled() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
-}
-
-// acquire hands out a warm runner (or spawns one) and assigns it the
+// acquire hands out a warm runner (or creates one) and assigns it the
 // given program, counting its wakeups against the session's own stats —
 // the solo-run form of acquireFor.
 func (s *Session) acquire(g *graph.Graph, prog agent.Program, start int) *runner {
 	return s.acquireFor(g, prog, start, &s.stats, nil)
 }
 
-// acquireFor hands out a warm runner (or spawns one) and assigns it the
-// given program. The runner's worker goroutine starts executing prog
-// immediately; the scheduler picks up its first request at fetch. Every
+// acquireFor hands out a warm runner (or creates one) and assigns it the
+// given program. The program starts at the runner's first fetch. Every
 // request the run consumes is counted into st, and additionally into
 // *lane when lane is non-nil — the per-lane wakeup attribution of the
 // batch engines.
@@ -162,22 +115,15 @@ func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *
 	s.mu.Lock()
 	if n := len(s.free); n > 0 {
 		r, s.free = s.free[n-1], s.free[:n-1]
-		s.mu.Unlock()
-	} else {
-		r = &runner{
-			req:    make(chan request, 1),
-			grant:  make(chan grantMsg, 1),
-			assign: make(chan runAssign),
-			idle:   make(chan struct{}),
-		}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go r.work(&s.wg)
+	}
+	s.mu.Unlock()
+	if r == nil {
+		r = newRunner()
 	}
 	r.g = g
+	r.prog = prog
 	r.stats = st
 	r.laneWakeups = lane
-	r.gen++
 	r.pos = start
 	r.entry = -1
 	r.state = stNeedReq
@@ -189,46 +135,46 @@ func (s *Session) acquireFor(g *graph.Graph, prog agent.Program, start int, st *
 	r.scriptWaitRun = 0
 	r.scriptDegs = nil
 	r.scriptQuiet = false
-	r.assign <- runAssign{g: g, prog: prog, start: start, gen: r.gen}
+	// The coroutine is suspended at its previous program's terminal
+	// request (or not started), so the scheduler may reset its world.
+	w := r.w
+	w.deg = g.Degree(start)
+	w.entry = -1
+	w.clock = 0
+	w.pendingWait = 0
+	w.phase = agent.PhaseOther
 	return r
 }
 
-// release returns a runner to the pool after waiting for its program to
-// quiesce — the pooled equivalent of the old per-run shutdown()'s
-// close(stop) + wg.Wait(). If the program is still running (the
-// scheduler ended the run first), a poison grant is sent; the send
-// blocks behind any real grant already in the buffer, so the agent
-// always processes every grant it earned (its observable side effects,
-// e.g. agent.Traced trajectories, stay deterministic), then unwinds via
-// stopSentinel at its next interaction. The idle handshake then
-// guarantees the goroutine has fully unwound before release returns:
-// callers may read state the program wrote (traces) with no data race
+// release returns a runner to the pool. A program still running when its
+// run ends is unwound first: the agent processes every grant it earned —
+// so its observable side effects, e.g. agent.Traced trajectories, reach
+// the round the run ended — then unwinds via stopSentinel at its next
+// interaction. When release returns the coroutine is suspended at its
+// terminal request, so callers may read state the program wrote (traces)
 // the moment Run*/RunMany return.
 func (s *Session) release(r *runner) {
-	s.releaseAsync(r)
-	s.collect(r)
-}
-
-// releaseAsync sends the abort token (when the program is still running)
-// without waiting for the goroutine to unwind. The batch engines retire
-// lanes through it and collect the runners in one pass at the end of the
-// batch, so W goroutine unwinds overlap instead of serializing W idle
-// handshakes. Every releaseAsync must be paired with a later collect.
-func (s *Session) releaseAsync(r *runner) {
-	if r.state != stDone {
-		// The send blocks behind any real grant already in the buffer, so
-		// the agent always processes every grant it earned first (see
-		// release).
-		r.grant <- grantMsg{degree: poisonDegree, gen: r.gen}
+	if r.state == stNeedReq {
+		// The agent is owed the grant of its last action, or has not
+		// started: let it run to its next interaction. That request is
+		// never consumed, so it counts no wakeup.
+		if rq, ok := r.next(); !ok || rq.kind >= reqDone {
+			r.state = stDone
+		}
 	}
-}
-
-// collect completes a releaseAsync: wait for the goroutine's idle
-// handshake, then return the runner to the pool.
-func (s *Session) collect(r *runner) {
-	<-r.idle
+	if r.state != stDone {
+		r.abort = true
+		for {
+			if rq, ok := r.next(); !ok || rq.kind >= reqDone {
+				break
+			}
+		}
+		r.abort = false
+	}
+	r.prog = nil
 	r.script = nil
 	r.scriptDegs = nil
+	r.grant = grantMsg{}
 	r.stats = nil
 	r.laneWakeups = nil
 	s.mu.Lock()
@@ -236,17 +182,16 @@ func (s *Session) collect(r *runner) {
 	s.mu.Unlock()
 }
 
-// Close shuts down every pooled runner goroutine and waits for them to
-// exit. All runs on the session must have finished first.
+// Close ends every pooled runner's coroutine. All runs on the session
+// must have finished first.
 func (s *Session) Close() {
 	s.mu.Lock()
 	free := s.free
 	s.free = nil
 	s.mu.Unlock()
 	for _, r := range free {
-		close(r.assign)
+		r.stop()
 	}
-	s.wg.Wait()
 }
 
 // Run is the session-pooled form of the package-level Run.
@@ -266,6 +211,7 @@ const (
 
 type reqKind int
 
+// The terminal kinds come last: release tests kind >= reqDone.
 const (
 	reqMove reqKind = iota
 	reqWait
@@ -297,61 +243,23 @@ type request struct {
 	// phase is the agent.Phase the producing procedure had set when the
 	// request was issued — pure attribution for the wakeup histogram.
 	phase agent.Phase
-	val   any    // panic value for reqPanic
-	gen   uint64 // run generation; stale deposits are discarded by fetch
+	val   any // panic value for reqPanic
 }
 
+// grantMsg is the result of a completed action, written by the scheduler
+// into its runner before the program's next pull.
 type grantMsg struct {
 	degree  int
 	entry   int
-	entries []int  // per-action entry ports, for reqScript grants
-	degrees []int  // per-action degrees, for degree-reporting script grants
-	gen     uint64 // run generation; stale grants are discarded by recv
-}
-
-// runAssign starts one run on a pooled worker goroutine.
-type runAssign struct {
-	g     *graph.Graph
-	prog  agent.Program
-	start int
-	gen   uint64
+	entries []int // per-action entry ports, for reqScript grants
+	degrees []int // per-action degrees, for degree-reporting script grants
 }
 
 // stopSentinel unwinds an agent program when its run is aborted.
 type stopSentinel struct{}
 
-// poisonDegree marks the abort grant deposited by Session.release: no
-// real grant carries a negative degree.
-const poisonDegree = -1
-
 type runner struct {
-	g *graph.Graph
-	// req and grant are buffered (capacity 1) — a one-deep pipeline in
-	// each direction. The agent deposits its next request without
-	// parking and the scheduler's fetch usually finds it ready; the
-	// scheduler deposits grants without parking whatever the agent
-	// goroutine is doing. The World protocol (one request, then block
-	// for its grant) guarantees at most one message in flight per
-	// direction — which is also why both sides use plain channel
-	// operations, never selects: a send always finds buffer space (or
-	// rendezvouses with the fetch that discards a stale deposit), and an
-	// aborted run is signaled in-band by a poison grant.
-	req   chan request
-	grant chan grantMsg
-	// assign carries run assignments and is closed by Session.Close to
-	// retire the worker; idle signals, once per assignment, that the
-	// program has fully unwound (release blocks on it, restoring the old
-	// per-run shutdown's quiescence guarantee).
-	assign chan runAssign
-	idle   chan struct{}
-	// gen counts assignments. An aborted run can leave one stale message
-	// in either buffer (a request the scheduler never fetched, or a
-	// grant/poison the program never picked up); instead of draining —
-	// which would race the next run's legitimate traffic for the same
-	// channel — every message carries its run's generation and the
-	// receiving side discards mismatches.
-	gen uint64
-
+	g        *graph.Graph
 	state    agentState
 	pos      int
 	entry    int
@@ -390,120 +298,82 @@ type runner struct {
 	scriptDegsBuf []int
 	stats         *runStats
 	laneWakeups   *uint64
+
+	// next resumes the runner's coroutine — the agent program — until its
+	// next request; the switch is direct, with no channel and no
+	// scheduler round trip. The coroutine lives as long as the runner and
+	// runs one assigned program after another (see serve), so a warm
+	// runner costs no allocation per run. stop ends it (Session.Close).
+	next func() (request, bool)
+	stop func()
+	// w is the program's World, prog the current assignment. grant is the
+	// result of the last completed action, read by the program when next
+	// resumes it; abort instead makes the program unwind at that point
+	// (release).
+	w     *world
+	prog  agent.Program
+	grant grantMsg
+	abort bool
 }
 
-// work is the pooled worker goroutine: it executes one assigned program
-// after another until the assign channel is closed. The world value is
-// reused across assignments — it lives entirely in this goroutine.
-func (r *runner) work(wg *sync.WaitGroup) {
-	defer wg.Done()
-	w := &world{r: r}
-	for asg := range r.assign {
-		w.gen = asg.gen
-		w.deg = asg.g.Degree(asg.start)
-		w.entry = -1
-		w.clock = 0
-		w.pendingWait = 0
-		w.phase = agent.PhaseOther
-		runProg(r, w, asg.prog)
-		// The program has unwound: hand quiescence back to release.
-		r.idle <- struct{}{}
+// newRunner returns a runner with its coroutine created but not started.
+func newRunner() *runner {
+	r := &runner{}
+	r.w = &world{r: r}
+	r.next, r.stop = iter.Pull(r.serve)
+	return r
+}
+
+// serve is the runner's coroutine body: it executes one assigned program
+// after another, ending each with a terminal request (reqDone or
+// reqPanic). The next pull after a terminal request starts the next
+// assignment; stop makes yield report false and ends the loop.
+func (r *runner) serve(yield func(request) bool) {
+	r.w.yield = yield
+	for yield(r.w.run(r.prog)) {
 	}
 }
 
-// runProg executes one program to completion, abort or panic, reporting
-// the terminal condition to the scheduler (unless the run was aborted, in
-// which case the scheduler is gone and the token is simply consumed).
-func runProg(r *runner, w *world, prog agent.Program) {
-	defer func() {
-		rec := recover()
-		if rec != nil {
-			if _, ok := rec.(stopSentinel); ok {
-				return
-			}
-		}
-		// A deferred wait precedes the terminal condition in program
-		// order, so it must reach the scheduler first; if the run was
-		// aborted mid-flush there is nobody left to report to.
-		if !w.flushWaitQuiet() {
-			return
-		}
-		rq := request{kind: reqDone, gen: w.gen, phase: w.phase}
-		if rec != nil {
-			rq = request{kind: reqPanic, val: rec, gen: w.gen, phase: w.phase}
-		}
-		// By the one-in-flight protocol the request buffer has space
-		// (the previous request was consumed before its grant), so the
-		// deposit never blocks even when the scheduler is gone.
-		r.req <- rq
-	}()
-	prog(w)
+// run executes one program to completion, abort or panic and returns the
+// terminal request to report. After an abort nobody consumes it: release
+// pulls until it sees it.
+func (w *world) run(prog agent.Program) request {
+	rec, aborted := w.exec(prog)
+	// A deferred wait precedes the terminal condition in program order,
+	// so it must reach the scheduler first.
+	if aborted || !w.flushWaitQuiet() {
+		return request{kind: reqDone}
+	}
+	if rec != nil {
+		return request{kind: reqPanic, val: rec, phase: w.phase}
+	}
+	return request{kind: reqDone, phase: w.phase}
 }
 
-// fetch pulls the agent's next action if the scheduler needs one. It
-// yields a couple of times before parking: the agent goroutine usually
-// deposits its next request within a few hundred nanoseconds of its
-// grant, and a yield that lets it run is cheaper than a full park/unpark
-// round trip for every script boundary (longer spins measured worse —
-// every yield pays the runtime's timer check).
+// exec runs prog, recovering its panic: rec is the panic value (nil when
+// prog returned), aborted reports an unwind by stopSentinel.
+func (w *world) exec(prog agent.Program) (rec any, aborted bool) {
+	defer func() {
+		rec = recover()
+		_, aborted = rec.(stopSentinel)
+	}()
+	prog(w)
+	return nil, false
+}
+
+// fetch pulls the agent's next action if the scheduler needs one: it
+// resumes the program, which reads its grant, runs to its next World
+// interaction and hands the request back.
 func (r *runner) fetch() {
 	if r.state != stNeedReq {
 		return
 	}
-	var rq request
-recv:
-	select {
-	case rq = <-r.req:
-	default:
-		for i := 0; ; i++ {
-			runtime.Gosched()
-			select {
-			case rq = <-r.req:
-			default:
-				if i < 2 {
-					continue
-				}
-				rq = <-r.req
-			}
-			break
-		}
-	}
-	if rq.gen != r.gen {
-		// Stale deposit from an aborted previous run on this pooled
-		// runner: discard and wait for the current program's request.
-		goto recv
-	}
+	rq, _ := r.next()
 	r.consume(rq)
 }
 
-// tryFetch is the non-blocking fetch of the batch engines: pull the
-// agent's next request if one is already deposited, reporting whether the
-// runner is ready to be advanced (which it trivially is when no request
-// is needed). A false return means the lane is blocked on its agent
-// goroutine — the batch sweep moves on to another lane instead of
-// parking, which is where the lockstep engine hides the per-case
-// scheduling latency the solo path pays in full.
-func (r *runner) tryFetch() bool {
-	if r.state != stNeedReq {
-		return true
-	}
-	for {
-		select {
-		case rq := <-r.req:
-			if rq.gen != r.gen {
-				continue // stale deposit from an aborted previous run
-			}
-			r.consume(rq)
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// consume applies one gen-matched request to the runner's scheduler
-// state, counting it into the run's statistics sinks — the shared tail
-// of fetch and tryFetch.
+// consume applies one request to the runner's scheduler state, counting
+// it into the run's statistics sinks.
 func (r *runner) consume(rq request) {
 	if s := r.stats; s != nil {
 		s.wakeups++
@@ -559,8 +429,8 @@ func (r *runner) consume(rq request) {
 	case reqDone:
 		r.state = stDone
 	case reqPanic:
-		// The agent goroutine has unwound and is parked for reassignment;
-		// mark it terminal so release knows no abort token is needed, then
+		// The program has unwound and its coroutine waits for the next
+		// assignment; mark it terminal so release needs no abort, then
 		// surface the program's panic to the caller.
 		r.state = stDone
 		panic(rq.val)
@@ -604,7 +474,7 @@ func (r *runner) waitRun() uint64 {
 }
 
 // runway returns how many rounds this agent can be advanced before the
-// scheduler must interact with its goroutine again (fetch a new request):
+// scheduler must interact with its program again (fetch a new request):
 // the remaining script length, the remaining wait, one round for a
 // pending single move, forever once the program terminated. This is the
 // per-agent contribution to the k-agent scheduler's event horizon.
@@ -707,7 +577,7 @@ func (r *runner) scriptStep() {
 	r.scriptEntries[r.scriptAt] = h.ToPort
 	if r.scriptDegs != nil {
 		// Degree observed on entry: the new node's degree, filled in the
-		// same channel-free loop as the entry port.
+		// same loop as the entry port.
 		r.scriptDegs[r.scriptAt] = r.g.Degree(h.To)
 	}
 	r.scriptAt++
@@ -748,7 +618,7 @@ func (r *runner) stepOne() (moved bool) {
 	case stWaiting:
 		r.waitLeft--
 		if r.waitLeft == 0 {
-			r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, gen: r.gen}
+			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
 			r.state = stNeedReq
 		}
 	case stScript:
@@ -780,17 +650,17 @@ func (r *runner) stepOne() (moved bool) {
 	return false
 }
 
-// finishScript hands the accumulated entry ports back to the agent
-// goroutine and returns the runner to the request-pulling state. The
-// entries buffer stays owned by the runner for reuse; the agent may read
-// it only until its next request (the MoveSeq contract), which is
-// sequenced after this grant by the req channel.
+// finishScript hands the accumulated entry ports back to the agent and
+// returns the runner to the request-pulling state. The entries buffer
+// stays owned by the runner for reuse; the agent may read it only until
+// its next request (the MoveSeq contract), and the scheduler writes the
+// buffer again only after pulling that request.
 func (r *runner) finishScript() {
 	entries := r.scriptEntries
 	if r.scriptQuiet {
 		entries = nil // quiet grants carry no (partially unfilled) streams
 	}
-	r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs, gen: r.gen}
+	r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, entries: entries, degrees: r.scriptDegs}
 	r.state = stNeedReq
 	r.script = nil
 	r.scriptDegs = nil
@@ -805,12 +675,12 @@ func (r *runner) advance(k uint64) {
 		to, ep := r.g.Succ(r.pos, r.movePort)
 		r.pos, r.entry = to, ep
 		r.moves++
-		r.grant <- grantMsg{degree: r.g.Degree(to), entry: ep, gen: r.gen}
+		r.grant = grantMsg{degree: r.g.Degree(to), entry: ep}
 		r.state = stNeedReq
 	case stWaiting:
 		r.waitLeft -= k
 		if r.waitLeft == 0 {
-			r.grant <- grantMsg{degree: r.g.Degree(r.pos), entry: r.entry, gen: r.gen}
+			r.grant = grantMsg{degree: r.g.Degree(r.pos), entry: r.entry}
 			r.state = stNeedReq
 		}
 	case stScript:
@@ -851,8 +721,9 @@ func (r *runner) advance(k uint64) {
 	}
 }
 
-// world implements agent.World on top of a runner's channels. It lives in
-// the agent goroutine; deg/entry/clock mirror the agent's own knowledge.
+// world implements agent.World on top of a runner's coroutine: its
+// methods run inside the coroutine, and each interaction is one yield to
+// the scheduler. deg/entry/clock mirror the agent's own knowledge.
 //
 // Waits are deferred: Wait only accumulates rounds locally, and the
 // accumulated stretch reaches the scheduler merged with the agent's next
@@ -870,10 +741,9 @@ type world struct {
 	deg   int
 	entry int
 	clock uint64
-	// gen is the current assignment's generation, stamped on every
-	// request so a later run on the same pooled runner can recognize and
-	// discard a deposit this run never got fetched.
-	gen uint64
+	// yield hands a request to the scheduler and suspends the program
+	// until the next pull (the runner coroutine's yield).
+	yield func(request) bool
 	// pendingWait is the deferred-wait accumulator; scriptBuf backs the
 	// one-action script a Move with a pending wait turns into.
 	pendingWait uint64
@@ -916,14 +786,12 @@ func (w *world) Move(port int) int {
 		buf[0] = port
 		lead := w.pendingWait
 		w.pendingWait = 0
-		w.send(request{kind: reqScript, script: buf, rounds: lead})
-		g := w.recv()
+		g := w.call(request{kind: reqScript, script: buf, rounds: lead})
 		w.deg, w.entry = g.degree, g.entry
 		w.clock++
 		return w.entry
 	}
-	w.send(request{kind: reqMove, port: port})
-	g := w.recv()
+	g := w.call(request{kind: reqMove, port: port})
 	w.deg, w.entry = g.degree, g.entry
 	w.clock++
 	return w.entry
@@ -964,8 +832,7 @@ func (w *world) RunSeq(actions []int) {
 	}
 	lead := w.pendingWait
 	w.pendingWait = 0
-	w.send(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
-	g := w.recv()
+	g := w.call(request{kind: reqScript, script: actions, rounds: lead, quiet: true})
 	w.deg, w.entry = g.degree, g.entry
 	w.clock += rounds
 }
@@ -985,8 +852,7 @@ func (w *world) moveSeq(actions []int, wantDegs bool) (entries, degrees []int) {
 	}
 	lead := w.pendingWait
 	w.pendingWait = 0
-	w.send(request{kind: reqScript, script: actions, rounds: lead, wantDegs: wantDegs})
-	g := w.recv()
+	g := w.call(request{kind: reqScript, script: actions, rounds: lead, wantDegs: wantDegs})
 	w.deg, w.entry = g.degree, g.entry
 	w.clock += uint64(len(actions))
 	return g.entries, g.degrees
@@ -1008,8 +874,7 @@ func (w *world) flushWait() {
 	}
 	rq := request{kind: reqWait, rounds: w.pendingWait}
 	w.pendingWait = 0
-	w.send(rq)
-	w.recv()
+	w.call(rq)
 }
 
 // flushWaitQuiet is flushWait for the termination path: instead of
@@ -1018,41 +883,18 @@ func (w *world) flushWaitQuiet() bool {
 	if w.pendingWait == 0 {
 		return true
 	}
-	rq := request{kind: reqWait, rounds: w.pendingWait, gen: w.gen, phase: w.phase}
+	rq := request{kind: reqWait, rounds: w.pendingWait, phase: w.phase}
 	w.pendingWait = 0
-	w.r.req <- rq
-	for {
-		g := <-w.r.grant
-		if g.gen != w.gen {
-			continue // stale grant for an earlier run: discard
-		}
-		return g.degree != poisonDegree
-	}
+	return w.yield(rq) && !w.r.abort
 }
 
-func (w *world) send(rq request) {
-	// By the one-in-flight protocol the buffer has space except when a
-	// stale deposit from an aborted earlier run still occupies it — and
-	// then the scheduler's next fetch discards that deposit, completing
-	// this send. If the current run was aborted, the deposit itself goes
-	// stale harmlessly: the next recv observes the poison grant.
-	rq.gen = w.gen
+// call hands one request to the scheduler and suspends the program until
+// the next pull, then returns the request's grant — or unwinds the
+// program when the run was aborted (or the coroutine stopped) meanwhile.
+func (w *world) call(rq request) grantMsg {
 	rq.phase = w.phase
-	w.r.req <- rq
-}
-
-func (w *world) recv() grantMsg {
-	for {
-		g := <-w.r.grant
-		if g.gen != w.gen {
-			// Stale grant (or poison) addressed to an earlier run on
-			// this pooled runner: discard.
-			continue
-		}
-		if g.degree == poisonDegree {
-			// The scheduler ended the run: unwind back to the worker loop.
-			panic(stopSentinel{})
-		}
-		return g
+	if !w.yield(rq) || w.r.abort {
+		panic(stopSentinel{})
 	}
+	return w.r.grant
 }

@@ -168,15 +168,15 @@ func (s *Session) runPair(g *graph.Graph, progA, progB agent.Program, u, v int, 
 		}
 
 		// Tight lock-step loop: while both agents are executing scripted
-		// moves, step the positions directly — no channel traffic, no
-		// goroutine wakeups — with the same per-round meeting detection
-		// and budget accounting as the general path below. Degree mode is
-		// fixed between fetches, so the plain case (no degree stream on
-		// either script — the overwhelming majority of rounds) runs the
-		// step bodies fused inline, the same burst-loop fusion as
-		// RunMany's k-agent engine (keep in sync with
-		// runner.scriptStepPlain): at this loop's intensity the
-		// per-runner call overhead is measurable.
+		// moves, step the positions directly — no switches into the
+		// programs — with the same per-round meeting detection and budget
+		// accounting as the general path below. Degree mode is fixed
+		// between fetches, so the plain case (no degree stream on either
+		// script — the overwhelming majority of rounds) runs the step
+		// bodies fused inline, the same burst-loop fusion as RunMany's
+		// k-agent engine (keep in sync with runner.scriptStepPlain): at
+		// this loop's intensity the per-runner call overhead is
+		// measurable.
 		if cfg.Observer == nil && rb != nil {
 			stepped := false
 			if ra.scriptDegs == nil && rb.scriptDegs == nil {
