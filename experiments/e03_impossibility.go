@@ -19,6 +19,10 @@ import (
 //     finding a meeting — a machine-checked proof of infeasibility.
 //  2. UniversalRV — which meets every feasible STIC — runs out a generous
 //     budget without meeting.
+//
+// The pairs are classified serially; the (pair, δ) rows then run
+// concurrently through sim.Sweep, one row per shard, and are rendered in
+// input order from the position-stable results.
 func E3() *Table {
 	t := &Table{
 		ID:       "E3",
@@ -44,6 +48,11 @@ func E3() *Table {
 	q2, _ := graph.Qhat(2)
 	add(q2, [2]int{0, 5})
 
+	type row struct {
+		s      stic.STIC
+		shrink int
+	}
+	var rows []row
 	for _, c := range cases {
 		rep := stic.Classify(stic.STIC{G: c.g, U: c.u, V: c.v, Delay: 0})
 		if !rep.Symmetric {
@@ -55,42 +64,56 @@ func E3() *Table {
 			continue
 		}
 		for delta := uint64(0); delta < uint64(rep.Shrink); delta++ {
-			s := stic.STIC{G: c.g, U: c.u, V: c.v, Delay: delta}
-			res, err := stic.SearchObliviousWord(s, 5_000_000)
-			searchCell := "exhausted (proof)"
-			if err != nil {
-				searchCell = "error: " + err.Error()
-				t.Check(false, "%s: %v", s, err)
-			} else {
-				t.Check(!res.Found, "%s: found word %v — impossibility violated!", s, res.Word)
-				t.Check(res.Exhausted, "%s: search inconclusive at %d states", s, res.States)
-				if res.Found {
-					searchCell = "FOUND WORD"
-				} else if !res.Exhausted {
-					searchCell = "inconclusive"
-				}
-			}
-
-			// UniversalRV negative control. The exhaustive search above is
-			// the actual impossibility proof; this run is a sanity check,
-			// so its budget is kept modest: past the K2-scale guarantee
-			// phases but bounded for speed.
-			budget := uint64(2_000_000)
-			if b := rendezvous.UniversalRVTimeBound(2, 1, delta+1); b < rendezvous.RoundCap && 2*b > budget {
-				budget = 2 * b
-			}
-			if budget > 4_000_000 {
-				budget = 4_000_000
-			}
-			uni := sim.Run(c.g, rendezvous.UniversalRV(), c.u, c.v, delta, sim.Config{Budget: budget})
-			t.Check(uni.Outcome != sim.Met, "%s: UniversalRV met an infeasible STIC", s)
-			uniCell := fmt.Sprintf("no meet in %d rounds", uni.Rounds)
-			if uni.Outcome == sim.Met {
-				uniCell = "MET (violation)"
-			}
-
-			t.AddRow(c.g.String(), fmt.Sprintf("(%d,%d)", c.u, c.v), rep.Shrink, delta, searchCell, res.States, uniCell)
+			rows = append(rows, row{stic.STIC{G: c.g, U: c.u, V: c.v, Delay: delta}, rep.Shrink})
 		}
+	}
+
+	type outcome struct {
+		res stic.WordResult
+		err error
+		uni sim.Result
+	}
+	outcomes := sim.Sweep(rows, 0, nil, func(sc *sim.Scratch, r row) outcome {
+		s := r.s
+		res, err := stic.SearchObliviousWord(s, 5_000_000)
+
+		// UniversalRV negative control. The exhaustive search is the actual
+		// impossibility proof; this run is a sanity check, so its budget is
+		// kept modest: past the K2-scale guarantee phases but bounded for
+		// speed.
+		budget := uint64(2_000_000)
+		if b := rendezvous.UniversalRVTimeBound(2, 1, s.Delay+1); b < rendezvous.RoundCap && 2*b > budget {
+			budget = 2 * b
+		}
+		if budget > 4_000_000 {
+			budget = 4_000_000
+		}
+		uni := sc.Session().Run(s.G, rendezvous.UniversalRV(), s.U, s.V, s.Delay, sim.Config{Budget: budget})
+		return outcome{res, err, uni}
+	})
+
+	for i, r := range rows {
+		s, o := r.s, outcomes[i]
+		searchCell := "exhausted (proof)"
+		if o.err != nil {
+			searchCell = "error: " + o.err.Error()
+			t.Check(false, "%s: %v", s, o.err)
+		} else {
+			t.Check(!o.res.Found, "%s: found word %v — impossibility violated!", s, o.res.Word)
+			t.Check(o.res.Exhausted, "%s: search inconclusive at %d states", s, o.res.States)
+			if o.res.Found {
+				searchCell = "FOUND WORD"
+			} else if !o.res.Exhausted {
+				searchCell = "inconclusive"
+			}
+		}
+		t.Check(o.uni.Outcome != sim.Met, "%s: UniversalRV met an infeasible STIC", s)
+		uniCell := fmt.Sprintf("no meet in %d rounds", o.uni.Rounds)
+		if o.uni.Outcome == sim.Met {
+			uniCell = "MET (violation)"
+		}
+
+		t.AddRow(s.G.String(), fmt.Sprintf("(%d,%d)", s.U, s.V), r.shrink, s.Delay, searchCell, o.res.States, uniCell)
 	}
 	t.Notes = append(t.Notes,
 		"'exhausted (proof)' means the full reachable state space of the word search was explored without a meeting; on these port-homogeneous graphs that is a proof over all deterministic algorithms, not just the ones we implemented.")

@@ -91,7 +91,9 @@ func E4() *Table {
 // E5 verifies Lemma 3.3 with equality: thanks to duration padding, the
 // implementation's SymmRV takes *exactly* T(n,d,δ) rounds regardless of
 // the graph or start node. Durations are measured on runs engineered not
-// to meet (δ below Shrink, d chosen <= δ), so both agents finish.
+// to meet (δ below Shrink, d chosen <= δ), so both agents finish. The
+// four measurements run concurrently through sim.Sweep, one per shard,
+// and the rows are rendered in input order.
 func E5() *Table {
 	t := &Table{
 		ID:       "E5",
@@ -110,10 +112,12 @@ func E5() *Table {
 		{graph.OrientedTorus(3, 3), 0, 4, 1, 1}, // Shrink 2 > δ=1
 		{graph.Hypercube(3), 0, 7, 1, 2},        // Shrink 3 > δ=2
 	}
-	for _, c := range cases {
-		n := uint64(c.g.N())
-		want := rendezvous.SymmRVTime(n, c.d, c.delta)
-		durations := rendezvous.MeasureSymmRVDuration(c.g, c.u, c.v, n, c.d, c.delta)
+	runs := sim.Sweep(cases, 0, nil, func(_ *sim.Scratch, c caze) []uint64 {
+		return rendezvous.MeasureSymmRVDuration(c.g, c.u, c.v, uint64(c.g.N()), c.d, c.delta)
+	})
+	for i, c := range cases {
+		want := rendezvous.SymmRVTime(uint64(c.g.N()), c.d, c.delta)
+		durations := runs[i]
 		equal := len(durations) == 2 && durations[0] == want && durations[1] == want
 		measured := "-"
 		if len(durations) > 0 {

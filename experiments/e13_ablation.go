@@ -16,6 +16,8 @@ import (
 // differ across starts — the desync) and the padded duration (always
 // exactly T(n,d,δ)); it also confirms the unpadded variant still works
 // for symmetric pairs, where identical views imply identical durations.
+// The 20 (graph, start) measurements run concurrently through sim.Sweep,
+// one per shard; the rows are rendered in input order.
 func E13() *Table {
 	t := &Table{
 		ID:       "E13",
@@ -32,13 +34,31 @@ func E13() *Table {
 		{graph.Tree(graph.FullShape(2, 2)), 1, 2},
 		{graph.Grid(3, 3), 1, 1},
 	}
+	type start struct {
+		c caze
+		v int
+	}
+	var starts []start
 	for _, c := range cases {
-		n := uint64(c.g.N())
-		want := rendezvous.SymmRVTime(n, c.d, c.delta)
+		for v := 0; v < c.g.N(); v++ {
+			starts = append(starts, start{c, v})
+		}
+	}
+	type durations struct{ unpadded, padded uint64 }
+	measured := sim.Sweep(starts, 0, nil, func(_ *sim.Scratch, s start) durations {
+		n := uint64(s.c.g.N())
+		return durations{
+			unpadded: rendezvous.SoloUnpaddedSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
+			padded:   rendezvous.SoloSymmRVDuration(s.c.g, s.v, n, s.c.d, s.c.delta),
+		}
+	})
+	i := 0
+	for _, c := range cases {
+		want := rendezvous.SymmRVTime(uint64(c.g.N()), c.d, c.delta)
 		distinct := map[uint64]bool{}
 		for v := 0; v < c.g.N(); v++ {
-			unp := rendezvous.SoloUnpaddedSymmRVDuration(c.g, v, n, c.d, c.delta)
-			pad := rendezvous.SoloSymmRVDuration(c.g, v, n, c.d, c.delta)
+			unp, pad := measured[i].unpadded, measured[i].padded
+			i++
 			distinct[unp] = true
 			t.AddRow(c.g.String(), v, unp, pad, want)
 			t.Check(pad == want, "%s start %d: padded %d != T %d", c.g, v, pad, want)

@@ -16,6 +16,10 @@ import (
 // failing, which is precisely why the Covers verifier exists — a paper
 // implementation that silently trusted a too-short sequence would turn
 // "rendezvous guaranteed" into "rendezvous usually".
+//
+// The random graphs and families are built once; every (multiplier,
+// graph) cover check then runs in a single sim.Sweep, sharded by
+// (multiplier, n), and the rows are tallied in input order.
 func E18() *Table {
 	t := &Table{
 		ID:       "E18",
@@ -24,63 +28,69 @@ func E18() *Table {
 		Columns:  []string{"length multiplier", "random graphs covered", "families covered", "shortest failing family"},
 	}
 	const samples = 120
-	type workItem struct {
-		g *graph.Graph
-		s uxs.Sequence
-	}
-
-	families := func() []*graph.Graph {
-		return []*graph.Graph{
-			graph.TwoNode(), graph.Path(6), graph.Cycle(10), graph.Star(6),
-			graph.OrientedTorus(3, 4), graph.Hypercube(3),
-			graph.SymmetricTree(graph.ChainShape(3)),
-			graph.Tree(graph.FullShape(2, 2)), graph.Petersen(),
-			graph.Lollipop(5, 5),
-		}
-	}
-
-	for _, mul := range []struct {
+	multipliers := []struct {
 		label string
 		num   int
 		den   int
 	}{
 		{"1/8", 1, 8}, {"1/4", 1, 4}, {"1/2", 1, 2}, {"1 (default)", 1, 1}, {"2", 2, 1},
-	} {
-		length := func(n int) int {
-			l := uxs.DefaultLength(n) * mul.num / mul.den
+	}
+
+	// The graphs are built once and shared by every multiplier: the random
+	// samples first, then the experiment families.
+	var graphs []*graph.Graph
+	for i := 0; i < samples; i++ {
+		n := 4 + i%10
+		maxExtra := n*(n-1)/2 - (n - 1)
+		extra := i % 4
+		if extra > maxExtra {
+			extra = maxExtra
+		}
+		graphs = append(graphs, graph.RandomConnected(n, extra, uint64(1000+i)))
+	}
+	fams := []*graph.Graph{
+		graph.TwoNode(), graph.Path(6), graph.Cycle(10), graph.Star(6),
+		graph.OrientedTorus(3, 4), graph.Hypercube(3),
+		graph.SymmetricTree(graph.ChainShape(3)),
+		graph.Tree(graph.FullShape(2, 2)), graph.Petersen(),
+		graph.Lollipop(5, 5),
+	}
+	graphs = append(graphs, fams...)
+
+	// Every (multiplier, graph) cover check runs in one sweep, sharded by
+	// (multiplier, n) so one sequence's checks share a worker.
+	type check struct {
+		mul int
+		g   *graph.Graph
+		s   uxs.Sequence
+	}
+	type shardKey struct{ mul, n int }
+	var checks []check
+	for mi, mul := range multipliers {
+		for _, g := range graphs {
+			l := uxs.DefaultLength(g.N()) * mul.num / mul.den
 			if l < 1 {
 				l = 1
 			}
-			return l
+			checks = append(checks, check{mi, g, uxs.GenerateLength(g.N(), l)})
 		}
+	}
+	covered := sim.Sweep(checks, 0, func(c check) any { return shardKey{c.mul, c.g.N()} }, func(_ *sim.Scratch, c check) bool {
+		return uxs.Covers(c.g, c.s)
+	})
 
-		// Random graphs, checked in parallel.
-		var items []workItem
-		for i := 0; i < samples; i++ {
-			n := 4 + i%10
-			maxExtra := n*(n-1)/2 - (n - 1)
-			extra := i % 4
-			if extra > maxExtra {
-				extra = maxExtra
-			}
-			g := graph.RandomConnected(n, extra, uint64(1000+i))
-			items = append(items, workItem{g: g, s: uxs.GenerateLength(g.N(), length(g.N()))})
-		}
-		covered := sim.Sweep(items, 0, func(it workItem) any { return it.g.N() }, func(_ *sim.Scratch, it workItem) bool {
-			return uxs.Covers(it.g, it.s)
-		})
+	for mi, mul := range multipliers {
+		row := covered[mi*len(graphs) : (mi+1)*len(graphs)]
 		okRandom := 0
-		for _, c := range covered {
+		for _, c := range row[:samples] {
 			if c {
 				okRandom++
 			}
 		}
-
 		okFamilies := 0
-		fams := families()
 		failing := "-"
-		for _, g := range fams {
-			if uxs.Covers(g, uxs.GenerateLength(g.N(), length(g.N()))) {
+		for i, g := range fams {
+			if row[samples+i] {
 				okFamilies++
 			} else if failing == "-" {
 				failing = g.String()

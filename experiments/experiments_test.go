@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,28 @@ func TestE17Full(t *testing.T) {
 
 func TestE18(t *testing.T) { requireOK(t, E18()) }
 func TestE19(t *testing.T) { requireOK(t, E19()) }
+
+// TestSweptTablesIgnoreScheduling renders the experiments whose rows run
+// through sim.Sweep on one worker and on four, and requires identical
+// markdown: results are position-stable, so the schedule must not show.
+func TestSweptTablesIgnoreScheduling(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	render := func(procs int) []string {
+		runtime.GOMAXPROCS(procs)
+		var out []string
+		for _, e := range []func() *Table{E3, E5, E13, E18} {
+			out = append(out, e().Markdown())
+		}
+		return out
+	}
+	serial, parallel := render(1), render(4)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("table differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", serial[i], parallel[i])
+		}
+	}
+}
 
 func TestRegistryIsCompleteAndDistinct(t *testing.T) {
 	if testing.Short() {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,46 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 	b.ConnectPorts(1, 2, 2, 0) // leaves port 1 at node 1 unassigned
 	if _, err := b.Build(); err == nil {
 		t.Fatal("port gap accepted")
+	}
+	// Parallel edge at a later node, after earlier nodes have marked the
+	// same neighbours.
+	b = NewBuilder(4)
+	b.Connect(0, 2)
+	b.Connect(1, 2)
+	b.Connect(2, 3)
+	b.Connect(2, 3)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "parallel edge between 2 and 3") {
+		t.Fatalf("late parallel edge: got %v", err)
+	}
+
+	// Hand-built adjacency rows reach the checks Builder cannot trigger on
+	// its own; each must fail with its own message.
+	for _, tc := range []struct {
+		name string
+		adj  [][]Half
+		want string
+	}{
+		{"self-loop", [][]Half{{{To: 0, ToPort: 1}, {To: 0, ToPort: 0}}}, "self-loop"},
+		{"reverse port out of range", [][]Half{{{To: 1, ToPort: 5}}, {{To: 0, ToPort: 0}}}, "reverse port 5 out of range at node 1"},
+		{"reciprocity", [][]Half{
+			{{To: 1, ToPort: 0}},
+			{{To: 0, ToPort: 0}, {To: 2, ToPort: 0}},
+			{{To: 1, ToPort: 0}}, // claims port 0 at node 1, which leads to node 0
+		}, "port reciprocity violated at node 1 port 1"},
+	} {
+		err := (&Graph{adj: tc.adj}).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Many nodes sharing a neighbour must not trip the parallel-edge check:
+	// each node's marks are distinct from every earlier node's.
+	q3, _ := Qhat(3)
+	for _, g := range []*Graph{Star(8), Complete(4), q3} {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s rejected: %v", g, err)
+		}
 	}
 }
 

@@ -70,6 +70,14 @@ func Qhat(h int) (*Graph, *QhatInfo) {
 	n := QhSize(h)
 	b := NewBuilder(n).Name(fmt.Sprintf("qhat-%d", h))
 	info := &QhatInfo{H: h, Root: 0}
+	// Every node has degree 4, so all port rows are carved from one backing
+	// array. ConnectPorts fills rows by append; capping each row at its own
+	// 4 slots makes a row grown past degree 4 reallocate instead of
+	// overwriting the next node's ports.
+	ports := make([]Half, 4*n)
+	for v := range b.adj {
+		b.adj[v] = ports[4*v : 4*v : 4*v+4]
+	}
 
 	// Build the tree Qh in BFS order. parentPort[v] is the port at v of the
 	// edge toward its parent (the opposite of the direction traveled), or

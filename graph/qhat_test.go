@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
 
 func TestQhSize(t *testing.T) {
 	want := map[int]int{1: 5, 2: 17, 3: 53, 4: 161}
@@ -193,4 +197,25 @@ func TestQhatRejectsSmallH(t *testing.T) {
 		}
 	}()
 	Qhat(1)
+}
+
+// TestQhatEncodingDigests pins Q̂h's exact port labelling, not just its
+// shape: the SHA-256 of Encode(Qhat(h)) must match the digests recorded
+// when each node's port row still grew by append, before Qhat carved the
+// rows from one shared array.
+func TestQhatEncodingDigests(t *testing.T) {
+	want := map[int]string{
+		2: "cf1387b3a7d10a4e2c1cce809e162378d179f9b03570cfd76de84f8fdc42c6b6",
+		3: "e295c4cc03dd7d3d6a3f6142f83c72f22213b1425f9658f32762269e9cf05f48",
+		4: "d3714bf854523882d9a7e0739bccc301a9b90402aea7aec32a34061fef6a0fff",
+		5: "9e96647edb9bf1c4229fda623fca1597fc18239775fc1df4a0867c7cc55541a4",
+		6: "c915b7ffe67a57bebbdcd34ad45dec67c0cffe0f4d81ee506bf559d4bc3eaaee",
+	}
+	for h := 2; h <= 6; h++ {
+		g, _ := Qhat(h)
+		sum := sha256.Sum256([]byte(Encode(g)))
+		if got := hex.EncodeToString(sum[:]); got != want[h] {
+			t.Errorf("qhat-%d encoding digest %s, want %s", h, got, want[h])
+		}
+	}
 }

@@ -91,9 +91,9 @@ func TestWakeupHistogramByPhase(t *testing.T) {
 			t.Errorf("phase %v recorded no wakeups — its producer is not tagging (or not running)", p)
 		}
 	}
-	// The script-length histogram is the other warmup-hint source: the
-	// batched E17 run must have submitted scripts, and the bucket counts
-	// must sum to the script-request count (<= total wakeups).
+	// The script-length histogram shows how much work each wakeup carries:
+	// the batched E17 run must have submitted scripts, and the bucket
+	// counts must sum to the script-request count (<= total wakeups).
 	scripts := uint64(0)
 	for _, n := range sess.ScriptLenHist() {
 		scripts += n
